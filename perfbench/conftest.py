@@ -1,0 +1,10 @@
+"""Make the benchmark's modules and this checkout's invdiam importable for
+its own tests (``python -m pytest perfbench``)."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
