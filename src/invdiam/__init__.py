@@ -12,6 +12,7 @@ from .assignment import (
     diameter_via_assignment,
     enumerate_assignments,
     hardest_label,
+    least_dim,
     min_dim,
     solve,
     verify,
@@ -26,7 +27,7 @@ from .family import (
     probe_clique_independence,
     probe_extension_dichotomy,
 )
-from .gf2 import Gf2Matrix, Gf2Vector, dot, is_independent, parity, rank, solve_linear
+from .gf2 import Gf2Vector
 from .graph import (
     Graph,
     Label,

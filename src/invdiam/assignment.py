@@ -7,6 +7,7 @@ the exact distance/diameter engine for graphs too large for plain BFS.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -191,17 +192,9 @@ class _SolveContext:
                 stack.append(nxt)
 
 
-_context_cache: Dict[Graph, _SolveContext] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _context(graph: Graph) -> _SolveContext:
-    ctx = _context_cache.get(graph)
-    if ctx is None:
-        ctx = _SolveContext(graph)
-        if len(_context_cache) > 256:
-            _context_cache.clear()
-        _context_cache[graph] = ctx
-    return ctx
+    return _SolveContext(graph)
 
 
 def _check_label(graph: Graph, label: Label) -> None:
@@ -214,19 +207,29 @@ def _check_t(t: int) -> None:
         raise ValueError(f"t must be in 0..{gf2.MAX_DIM}, got {t}")
 
 
-def solve(
-    graph: Graph,
-    label: Label,
-    t: int,
+def _least(
+    ctx: _SolveContext,
+    bits: int,
+    t_lo: int,
+    t_hi: int,
     prefer: Optional[Sequence[int]] = None,
-) -> Optional[Assignment]:
+    deadline: Optional[float] = None,
+) -> Tuple[Optional[int], Optional[List[int]]]:
+    """Least t in t_lo..t_hi admitting an assignment, with its first witness
+    (words indexed by vertex); (None, None) if every t fails."""
+    for t in range(t_lo, t_hi + 1):
+        words = next(ctx.search(bits, t, deadline, prefer), None)
+        if words is not None:
+            return t, words
+    return None, None
+
+
+def solve(graph: Graph, label: Label, t: int) -> Optional[Assignment]:
     """Find a valid t-dimensional assignment, or None if none exists."""
     _check_label(graph, label)
     _check_t(t)
-    found = next(_context(graph).search(label.bits, t, prefer=prefer), None)
-    if found is None:
-        return None
-    return Assignment.from_bits(graph, t, found)
+    _, words = _least(_context(graph), label.bits, t, t)
+    return None if words is None else Assignment.from_bits(graph, t, words)
 
 
 def solve_with_deadline(
@@ -239,12 +242,12 @@ def solve_with_deadline(
     _check_label(graph, label)
     _check_t(t)
     try:
-        found = next(_context(graph).search(label.bits, t, deadline=deadline), None)
+        _, words = _least(_context(graph), label.bits, t, t, deadline=deadline)
     except _Timeout:
         return "timeout", None
-    if found is None:
+    if words is None:
         return "unsat", None
-    return "sat", Assignment.from_bits(graph, t, found)
+    return "sat", Assignment.from_bits(graph, t, words)
 
 
 def enumerate_assignments(
@@ -261,22 +264,31 @@ def enumerate_assignments(
         yield Assignment.from_bits(graph, t, words)
 
 
-def min_dim(
-    graph: Graph,
-    label: Label,
-    t_max: int,
-    prefer: Optional[Sequence[int]] = None,
-) -> Optional[int]:
+def min_dim(graph: Graph, label: Label, t_max: int) -> Optional[int]:
     """Least t in 0..t_max admitting an assignment; None if all fail."""
     _check_label(graph, label)
     _check_t(t_max)
     if label.bits == 0:
         return 0
-    ctx = _context(graph)
-    for t in range(1, t_max + 1):
-        if next(ctx.search(label.bits, t, prefer=prefer), None) is not None:
-            return t
-    return None
+    return _least(_context(graph), label.bits, 1, t_max)[0]
+
+
+def least_dim(
+    graph: Graph, label: Label, t_max: int
+) -> Tuple[Optional[int], Optional[Assignment]]:
+    """min_dim together with the witness solve would return at that t.
+
+    The zero label gets the all-zero 0-dimensional assignment; (None, None)
+    if every t <= t_max fails.
+    """
+    _check_label(graph, label)
+    _check_t(t_max)
+    if label.bits == 0:
+        return 0, Assignment.from_bits(graph, 0, [0] * graph.n)
+    t, words = _least(_context(graph), label.bits, 1, t_max)
+    if words is None:
+        return None, None
+    return t, Assignment.from_bits(graph, t, words)
 
 
 @dataclass(frozen=True)
@@ -305,16 +317,10 @@ def diameter_via_assignment(graph: Graph, t_max: int = gf2.MAX_DIM) -> DiameterR
     prev_witness: Optional[List[int]] = None
     for i in range(1 << graph.m):
         bits = i ^ (i >> 1)
-        found_t: Optional[int] = None
-        witness: Optional[List[int]] = None
         if bits == 0:
             found_t, witness = 0, [0] * graph.n
         else:
-            for t in range(1, t_max + 1):
-                witness = next(ctx.search(bits, t, prefer=prev_witness), None)
-                if witness is not None:
-                    found_t = t
-                    break
+            found_t, witness = _least(ctx, bits, 1, t_max, prefer=prev_witness)
         if found_t is None:
             raise BudgetExceededError(
                 f"label {bits:0{graph.m}b} exceeds t_max={t_max}"
@@ -432,6 +438,7 @@ __all__ = [
     "solve_with_deadline",
     "enumerate_assignments",
     "min_dim",
+    "least_dim",
     "diameter_via_assignment",
     "hardest_label",
     "assignment_to_inversions",

@@ -248,20 +248,9 @@ def _check_reduce(doc: dict, res: CheckResult) -> None:
                 for ms in inst["multi_sets"]
             ]
             singles = [Gf2Vector.from_string(s).bits for s in inst["singles"]]
-            t = inst["t"]
-            b = len(cfg.boundary)
-            feasible = False
-            for x0 in multi[0]:
-                for xt in multi[1]:
-                    values = [0] * b
-                    values[0] = x0
-                    values[t] = xt
-                    it = iter(singles)
-                    for i in range(1, b):
-                        if i != t:
-                            values[i] = next(it)
-                    if not reducibility._is_double_pair(values):
-                        feasible = True
+            feasible = reducibility.admits_choice(
+                len(cfg.boundary), inst["t"], multi[0], multi[1], singles
+            )
             res.require(
                 not feasible, f"{row['name']}: choice counterexample admits a choice"
             )
@@ -313,7 +302,7 @@ def check_certificate(doc: dict) -> Tuple[bool, str, List[str]]:
         return res.valid, str(kind), res.notes
     try:
         checker(doc, res)
-    except (KeyError, TypeError, ValueError, InputFormatError) as exc:
+    except (AttributeError, LookupError, StopIteration, TypeError, ValueError) as exc:
         res.fail(f"malformed certificate: {exc}")
     return res.valid, kind, res.notes
 

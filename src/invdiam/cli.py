@@ -13,12 +13,12 @@ import sys
 import time
 from typing import List, Optional, Tuple
 
-from . import __version__, reducibility
+from . import __version__, gf2, reducibility
 from .assignment import (
     assignment_to_inversions,
     diameter_via_assignment,
     hardest_label,
-    min_dim,
+    least_dim,
     solve,
 )
 from .certificates import (
@@ -67,9 +67,22 @@ def _assignment_json(assignment) -> List[str]:
     return assignment.to_strings()
 
 
+def _dimension(value: int, flag: str) -> int:
+    if not 0 <= value <= gf2.MAX_DIM:
+        raise InputFormatError(f"{flag} must be in 0..{gf2.MAX_DIM}, got {value}")
+    return value
+
+
+def _t_max(args, graph) -> int:
+    """--t-max if given, else |E| clamped to the largest supported dimension."""
+    if args.t_max is None:
+        return min(graph.m, gf2.MAX_DIM)
+    return _dimension(args.t_max, "--t-max")
+
+
 def cmd_assign(args) -> Tuple[dict, int]:
     graph, label = _load_graph(args.graph)
-    found = solve(graph, label, args.t)
+    found = solve(graph, label, _dimension(args.t, "--t"))
     return {
         "kind": "assign",
         "graph": serialize_labeled_graph(graph, label),
@@ -82,9 +95,8 @@ def cmd_assign(args) -> Tuple[dict, int]:
 
 def cmd_mindim(args) -> Tuple[dict, int]:
     graph, label = _load_graph(args.graph)
-    t_max = graph.m if args.t_max is None else args.t_max
-    d = min_dim(graph, label, t_max)
-    witness = solve(graph, label, d) if d is not None else None
+    t_max = _t_max(args, graph)
+    d, witness = least_dim(graph, label, t_max)
     return {
         "kind": "mindim",
         "graph": serialize_labeled_graph(graph, label),
@@ -101,11 +113,10 @@ def cmd_distance(args) -> Tuple[dict, int]:
     o1 = Orientation.from_string(graph, _read(args.orientation1))
     o2 = Orientation.from_string(graph, _read(args.orientation2))
     diff = diff_label(o1, o2)
-    t_max = graph.m if args.t_max is None else args.t_max
-    d = min_dim(graph, diff, t_max)
+    t_max = _t_max(args, graph)
+    d, witness = least_dim(graph, diff, t_max)
     if d is None:
-        raise InvariantError("distance exceeded t_max = |E|, which is impossible")
-    witness = solve(graph, diff, d)
+        raise BudgetExceededError(f"distance exceeds t_max={t_max}")
     doc = {
         "kind": "distance",
         "graph": serialize_labeled_graph(graph, label),
@@ -134,7 +145,7 @@ def cmd_bfs_diameter(args) -> Tuple[dict, int]:
 
 def cmd_diameter(args) -> Tuple[dict, int]:
     graph, label = _load_graph(args.graph)
-    t_max = graph.m if args.t_max is None else args.t_max
+    t_max = _t_max(args, graph)
     doc = {
         "kind": "diameter",
         "graph": serialize_labeled_graph(graph, label),
@@ -162,7 +173,10 @@ def cmd_diameter(args) -> Tuple[dict, int]:
 
 
 def cmd_family(args) -> Tuple[dict, int]:
-    lg = build_family(args.k, args.m, args.initial_label)
+    try:
+        lg = build_family(args.k, args.m, args.initial_label)
+    except ValueError as exc:  # --k, --m or --initial-label out of range
+        raise InputFormatError(str(exc)) from None
     graph_text = serialize_labeled_graph(lg.graph, lg.label)
     levels_text = levels_to_text(lg.levels)
     files = {}
@@ -228,6 +242,8 @@ def cmd_probe(args) -> Tuple[dict, int]:
 
 
 def cmd_reduce(args) -> Tuple[dict, int]:
+    if args.jobs < 1:
+        raise InputFormatError(f"--jobs must be >= 1, got {args.jobs}")
     configs = reducibility.builtin_configs()
     if args.config:
         if args.config not in configs:
@@ -282,6 +298,7 @@ def cmd_reduce(args) -> Tuple[dict, int]:
 
 
 def cmd_search_hard(args) -> Tuple[dict, int]:
+    _dimension(args.t_max, "--t-max")
     text = _read(args.graphs)
     entries = []
     for graph, _ in parse_labeled_graphs(text):
@@ -315,6 +332,8 @@ def cmd_check(args) -> Tuple[dict, int]:
         doc = json.loads(_read(args.certificate))
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputFormatError("a certificate must be a JSON object")
     valid, kind, notes = check_certificate(doc)
     return {
         "kind": "check",

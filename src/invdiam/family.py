@@ -129,10 +129,6 @@ def build_family(k: int, m: int, initial_label=None) -> LeveledGraph:
     return LeveledGraph(graph, Label(graph, bits), tuple(levels), k, m, tuple(registry))
 
 
-def family_label_name(k: int) -> str:
-    return f"pi^({k})"
-
-
 def is_k_tree(graph: Graph, k: int) -> bool:
     """True iff the graph peels down to K_k through simplicial degree-k vertices."""
     if k < 1 or graph.n < k:

@@ -8,7 +8,7 @@ Everything is immutable and pure; elimination always works on copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence
 
 MAX_DIM = 32
 
@@ -37,14 +37,6 @@ class Gf2Vector:
                 bits |= 1 << i
         return cls(len(text), bits)
 
-    @classmethod
-    def zeros(cls, dim: int) -> "Gf2Vector":
-        return cls(dim, 0)
-
-    @classmethod
-    def ones(cls, dim: int) -> "Gf2Vector":
-        return cls(dim, (1 << dim) - 1)
-
     def to_string(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.dim))
 
@@ -53,114 +45,14 @@ class Gf2Vector:
             raise IndexError(f"coordinate {i} out of range for dim {self.dim}")
         return (self.bits >> i) & 1
 
-    def __xor__(self, other: "Gf2Vector") -> "Gf2Vector":
-        _check_dims(self, other)
-        return Gf2Vector(self.dim, self.bits ^ other.bits)
-
     def __str__(self) -> str:
         return self.to_string()
 
 
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """An ordered sequence of rows sharing one dimension."""
-
-    dim: int
-    rows: Tuple[Gf2Vector, ...]
-
-    def __post_init__(self) -> None:
-        for r in self.rows:
-            if r.dim != self.dim:
-                raise ValueError(f"row dim {r.dim} != matrix dim {self.dim}")
-
-    @classmethod
-    def from_bits(cls, dim: int, rows: Sequence[int]) -> "Gf2Matrix":
-        return cls(dim, tuple(Gf2Vector(dim, r) for r in rows))
-
-    def row_bits(self) -> List[int]:
-        return [r.bits for r in self.rows]
-
-
-def _check_dims(a: Gf2Vector, b: Gf2Vector) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-
-
-def dot(a: Gf2Vector, b: Gf2Vector) -> int:
-    """Scalar product over F2: parity of the coordinatewise AND."""
-    _check_dims(a, b)
-    return (a.bits & b.bits).bit_count() & 1
-
-
-def parity(a: Gf2Vector) -> int:
-    """1 if the vector has an odd number of ones, else 0."""
-    return a.bits.bit_count() & 1
-
-
-def rank(m: Gf2Matrix) -> int:
-    return rank_bits(m.row_bits(), m.dim)
-
-
-def is_independent(vectors: Sequence[Gf2Vector]) -> bool:
-    """True iff the vectors are linearly independent (vacuously for none)."""
-    vs = list(vectors)
-    if not vs:
-        return True
-    dim = vs[0].dim
-    for v in vs:
-        if v.dim != dim:
-            raise ValueError(f"dimension mismatch: {v.dim} != {dim}")
-    return rank_bits([v.bits for v in vs], dim) == len(vs)
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """Affine solution set of a linear system: particular + span(nullspace)."""
-
-    dim: int
-    particular: Gf2Vector
-    nullspace: Tuple[Gf2Vector, ...]
-
-    @property
-    def count(self) -> int:
-        return 1 << len(self.nullspace)
-
-    def vectors(self) -> Iterator[Gf2Vector]:
-        """All solutions, in the fixed subset-combination order of the basis."""
-        basis = [b.bits for b in self.nullspace]
-        for combo in range(1 << len(basis)):
-            bits = self.particular.bits
-            for i, b in enumerate(basis):
-                if (combo >> i) & 1:
-                    bits ^= b
-            yield Gf2Vector(self.dim, bits)
-
-    def __contains__(self, v: Gf2Vector) -> bool:
-        if v.dim != self.dim:
-            return False
-        shifted = v.bits ^ self.particular.bits
-        return not _reduce_by_rows(shifted, [b.bits for b in self.nullspace])
-
-
-def solve_linear(m: Gf2Matrix, b: Sequence[int]) -> "LinearSolution | None":
-    """Solve M x = b; return the affine solution set, or None if inconsistent."""
-    if len(b) != len(m.rows):
-        raise ValueError(f"rhs length {len(b)} != row count {len(m.rows)}")
-    res = solve_bits(m.row_bits(), list(b), m.dim)
-    if res is None:
-        return None
-    particular, basis = res
-    return LinearSolution(
-        m.dim,
-        Gf2Vector(m.dim, particular),
-        tuple(Gf2Vector(m.dim, v) for v in basis),
-    )
-
-
 # --- raw-word kernel -------------------------------------------------------
 #
-# The functions below operate on plain ints (bit i = coordinate i) and back
-# the typed API above.  Solver loops call them directly.
+# The functions below operate on plain ints (bit i = coordinate i); solver
+# loops call them directly.
 
 
 def dot_bits(a: int, b: int) -> int:
@@ -187,25 +79,6 @@ def rank_bits(rows: Sequence[int], dim: int) -> int:
         if r == len(work):
             break
     return r
-
-
-def _reduce_by_rows(vec: int, reduced_rows: Sequence[int]) -> int:
-    """Reduce vec against rows by elimination; 0 iff vec is in their span."""
-    rows = list(reduced_rows)
-    for col in range(max((r.bit_length() for r in rows), default=0)):
-        mask = 1 << col
-        pivot = None
-        for i, r in enumerate(rows):
-            if r & mask:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        prow = rows.pop(pivot)
-        if vec & mask:
-            vec ^= prow
-        rows = [r ^ prow if r & mask else r for r in rows]
-    return vec
 
 
 def solve_bits(
@@ -261,13 +134,6 @@ def affine_solutions_bits(particular: int, basis: Sequence[int]) -> List[int]:
 __all__ = [
     "MAX_DIM",
     "Gf2Vector",
-    "Gf2Matrix",
-    "LinearSolution",
-    "dot",
-    "parity",
-    "rank",
-    "is_independent",
-    "solve_linear",
     "dot_bits",
     "rank_bits",
     "solve_bits",

@@ -367,6 +367,26 @@ class CheckReport:
         return self.verdict == "reducible"
 
 
+def admits_choice(
+    b: int, t: int, multi0: Sequence[int], multi_t: Sequence[int], singles: Sequence[int]
+) -> bool:
+    """True iff some x0 in multi0 at position 0 and xt in multi_t at
+    position t, with the singles filling the other b - 2 positions in
+    order, avoid splitting into two equal pairs."""
+    for x0 in multi0:
+        for xt in multi_t:
+            values = [0] * b
+            values[0] = x0
+            values[t] = xt
+            si = iter(singles)
+            for i in range(1, b):
+                if i != t:
+                    values[i] = next(si)
+            if not _is_double_pair(values):
+                return True
+    return False
+
+
 def _check_choice_stage(
     cfg: ReducibilityConfiguration,
 ) -> Tuple[int, Optional[Counterexample]]:
@@ -382,22 +402,7 @@ def _check_choice_stage(
             for bt in multi_sets:
                 for singles in product(NONZERO_VECTORS, repeat=b - 2):
                     checked += 1
-                    ok = False
-                    for x0 in b0:
-                        for xt in bt:
-                            values = [0] * b
-                            values[0] = x0
-                            values[t] = xt
-                            si = iter(singles)
-                            for i in range(1, b):
-                                if i != t:
-                                    values[i] = next(si)
-                            if not _is_double_pair(values):
-                                ok = True
-                                break
-                        if ok:
-                            break
-                    if not ok:
+                    if not admits_choice(b, t, b0, bt, singles):
                         labels = next(cfg.label_completions())
                         return checked, Counterexample(
                             "choice",
@@ -796,6 +801,7 @@ __all__ = [
     "Mutation",
     "enumerate_families",
     "check_family",
+    "admits_choice",
     "check_reducible",
     "builtin_configs",
     "builtin_mutations",

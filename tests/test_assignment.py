@@ -2,6 +2,8 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invdiam.assignment import (
     Assignment,
@@ -9,6 +11,7 @@ from invdiam.assignment import (
     diameter_via_assignment,
     enumerate_assignments,
     hardest_label,
+    least_dim,
     min_dim,
     solve,
     solve_with_deadline,
@@ -316,3 +319,50 @@ class TestInversionDecomposition:
             for xs in assignment_to_inversions(found):
                 current = invert(current, xs)
             assert current == target
+
+
+@st.composite
+def labeled_graphs(draw):
+    """A random graph on at most 6 vertices and 10 edges, with a label."""
+    n = draw(st.integers(1, 6))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    g = Graph(n, edges)
+    return g, Label(g, draw(st.integers(0, (1 << g.m) - 1)))
+
+
+_driver_settings = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+class TestDriverProperties:
+    @_driver_settings
+    @given(labeled_graphs(), st.data())
+    def test_edge_flip_moves_min_dim_by_at_most_one(self, case, data):
+        g, lab = case
+        if g.m == 0:
+            return
+        e = data.draw(st.integers(0, g.m - 1))
+        # Every label has dimension at most |E|, so None never occurs.
+        d = min_dim(g, lab, g.m)
+        d_flipped = min_dim(g, Label(g, lab.bits ^ (1 << e)), g.m)
+        assert abs(d - d_flipped) <= 1
+
+    @_driver_settings
+    @given(labeled_graphs())
+    def test_sat_is_monotone_in_t(self, case):
+        g, lab = case
+        sat = [solve(g, lab, t) is not None for t in range(g.m + 2)]
+        assert sat == sorted(sat)
+
+    @_driver_settings
+    @given(labeled_graphs())
+    def test_least_dim_matches_min_dim_and_solve(self, case):
+        g, lab = case
+        t, witness = least_dim(g, lab, g.m)
+        assert t == min_dim(g, lab, g.m)
+        assert verify(g, lab, witness)
+        assert witness == solve(g, lab, t)
+
+    def test_least_dim_exceeds(self):
+        g, lab = c4_opposite()
+        assert least_dim(g, lab, 1) == (None, None)

@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from invdiam import gf2
+from invdiam.assignment import min_dim
 from invdiam.cli import main
+from invdiam.graph import parse_labeled_graph
 
 K2_ONE = "2 1\n0 1 1\n"
 C4 = "4 4\n0 1 1\n1 2 0\n2 3 1\n0 3 0\n"  # opposite edges labeled
@@ -66,6 +69,35 @@ class TestMindim:
     def test_exceeds(self, capsys, k2_file):
         code, doc = run_cli(capsys, "mindim", k2_file, "--t-max", "0", "--no-meta")
         assert code == 0 and doc["verdict"] == "exceeds"
+
+
+class TestSingleSearch:
+    """mindim and distance take the dimension and the witness from one search."""
+
+    @pytest.mark.parametrize("command", ["mindim", "distance"])
+    def test_as_many_solves_as_min_dim(self, capsys, monkeypatch, tmp_path, c4_file, command):
+        calls = [0]
+        solve_bits = gf2.solve_bits
+
+        def counted(*args):
+            calls[0] += 1
+            return solve_bits(*args)
+
+        monkeypatch.setattr(gf2, "solve_bits", counted)
+        graph, label = parse_labeled_graph(C4)
+        assert min_dim(graph, label, graph.m) == 2
+        expected, calls[0] = calls[0], 0
+        if command == "mindim":
+            code, doc = run_cli(capsys, "mindim", c4_file, "--no-meta")
+            assert code == 0 and doc["t"] == 2
+        else:
+            o1 = tmp_path / "o1.txt"
+            o2 = tmp_path / "o2.txt"
+            o1.write_text("0000\n")
+            o2.write_text(label.to_string() + "\n")
+            code, doc = run_cli(capsys, "distance", c4_file, str(o1), str(o2), "--no-meta")
+            assert code == 0 and doc["distance"] == 2
+        assert calls[0] == expected > 0
 
 
 class TestDistance:
@@ -278,10 +310,89 @@ class TestCheckCommand:
         code, doc = run_cli(capsys, "check", str(cert), "--no-meta")
         assert code == 0 and doc["valid"]
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda doc: doc.update(configs=["not a row"]),
+            lambda doc: doc["configs"][0]["counterexample"]["choice_instance"].update(
+                multi_sets=[["100"]]
+            ),
+            lambda doc: doc["configs"][0]["counterexample"]["choice_instance"].update(
+                singles=[]
+            ),
+        ],
+        ids=["row-not-object", "one-multi-set", "too-few-singles"],
+    )
+    def test_malformed_certificate_is_invalid(self, capsys, tmp_path, tamper):
+        cert = tmp_path / "cert.json"
+        assert main(
+            ["reduce", "--mutate", "c4b-shrink-choice", "--out", str(cert), "--no-meta"]
+        ) == 1
+        doc = json.loads(cert.read_text())
+        tamper(doc)
+        cert.write_text(json.dumps(doc))
+        code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
+        assert code == 1 and not check_doc["valid"]
+        assert check_doc["notes"][0].startswith("FAIL: malformed certificate")
+
     def test_bad_json_exit_2(self, capsys, tmp_path):
         p = tmp_path / "junk.json"
         p.write_text("{")
         assert main(["check", str(p)]) == 2
+
+
+# Each argument error exits 2 with a JSON error document, and a distance
+# beyond --t-max exits 3.
+_ERROR_CASES = {
+    "assign-t-40": (["assign", "{c4}", "--t", "40"], 2, "input"),
+    "assign-t-negative": (["assign", "{c4}", "--t", "-1"], 2, "input"),
+    "mindim-t-max-negative": (["mindim", "{c4}", "--t-max", "-1"], 2, "input"),
+    "mindim-t-max-40": (["mindim", "{c4}", "--t-max", "40"], 2, "input"),
+    "distance-t-max-40": (["distance", "{c4}", "{o1}", "{o2}", "--t-max", "40"], 2, "input"),
+    "diameter-t-max-negative": (["diameter", "{c4}", "--t-max", "-1"], 2, "input"),
+    "diameter-t-max-40": (["diameter", "{c4}", "--t-max", "40"], 2, "input"),
+    "search-hard-t-max-negative": (["search-hard", "{c4}", "--t-max", "-1"], 2, "input"),
+    "search-hard-t-max-40": (["search-hard", "{c4}", "--t-max", "40"], 2, "input"),
+    "family-k-0": (["family", "--k", "0", "--m", "1"], 2, "input"),
+    "family-m-negative": (["family", "--k", "2", "--m", "-1"], 2, "input"),
+    "family-initial-label-too-long": (
+        ["family", "--k", "2", "--m", "1", "--initial-label", "11"], 2, "input"
+    ),
+    "check-json-array": (["check", "{array}"], 2, "input"),
+    "reduce-jobs-0": (["reduce", "--config", "P3", "--jobs", "0"], 2, "input"),
+    # The C4 orientations are at distance 2.
+    "distance-exceeds-t-max": (
+        ["distance", "{c4}", "{o1}", "{o2}", "--t-max", "1"], 3, "budget"
+    ),
+}
+
+
+class TestExitContract:
+    @pytest.mark.parametrize(
+        "argv, code, category", list(_ERROR_CASES.values()), ids=list(_ERROR_CASES)
+    )
+    def test_error_document(self, capsys, tmp_path, c4_file, argv, code, category):
+        paths = {"c4": c4_file}
+        for name, text in (("o1", "0000"), ("o2", "1001"), ("array", "[1, 2]")):
+            paths[name] = str(tmp_path / name)
+            (tmp_path / name).write_text(text + "\n")
+        assert main([a.format(**paths) for a in argv]) == code
+        out = capsys.readouterr()
+        doc = json.loads(out.out)
+        assert doc["kind"] == "error" and doc["category"] == category
+        assert out.err == ""
+
+    def test_mindim_beyond_max_dim_edges(self, capsys, tmp_path):
+        # The stage-3 k=2 family graph has 729 edges; t_max clamps to 32.
+        gout = tmp_path / "fam.ilg"
+        assert main(["family", "--k", "2", "--m", "3", "--graph-out", str(gout), "--no-meta"]) == 0
+        capsys.readouterr()
+        cert = tmp_path / "mindim.json"
+        assert main(["mindim", str(gout), "--out", str(cert), "--no-meta"]) == 0
+        doc = json.loads(cert.read_text())
+        assert doc["verdict"] == "sat" and doc["t"] == 4 and doc["t_max"] == gf2.MAX_DIM
+        code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
+        assert code == 0 and check_doc["valid"]
 
 
 class TestDeterminism:
