@@ -1,9 +1,12 @@
 """Building and re-validating the JSON certificates the CLI emits.
 
-Re-validation is witness-oriented: embedded witnesses (assignments,
-inversion sequences, counterexample families) are checked directly, and
-negative verdicts that would require re-running a search are accepted
-with an explanatory note.
+Embedded witnesses (assignments, inversion sequences, counterexample
+families) are checked directly.  Claims that no t-dimensional assignment
+exists (unsat and exceeds verdicts, and the lower bound t-1 behind every
+least dimension, distance and diameter) are re-searched by `refute`,
+which shares no code with the solver, for t up to REFUTE_MAX_DIM; above
+that, or past REFUTE_NODE_CAP search nodes, they are accepted with an
+explanatory note.
 """
 
 from __future__ import annotations
@@ -15,9 +18,59 @@ from .assignment import Assignment, verify
 from .errors import InputFormatError
 from .family import build_family, reconstruct_leveled
 from .family import probe_bad_cliques, probe_clique_independence, probe_extension_dichotomy
-from .gf2 import Gf2Vector
+from .gf2 import Gf2Vector, dot_bits
 from .graph import Graph, Label, Orientation, parse_labeled_graph, serialize_labeled_graph
 from .inversion import invert
+
+
+REFUTE_MAX_DIM = 8
+REFUTE_NODE_CAP = 1_000_000
+
+
+def refute(graph: Graph, label: Label, t: int) -> Optional[bool]:
+    """Complete domain-filtering search with no linear algebra; returns
+    True (no t-dimensional assignment), False (one exists), or None
+    (REFUTE_NODE_CAP nodes did not decide).
+
+    Vertices are placed by descending degree; placing one filters the
+    domains of its later neighbours.  The search is iterative, with an
+    undo list per level, so its depth is not bounded by the call stack.
+    """
+    n = graph.n
+    if n == 0:
+        return False
+    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+    rank = {v: i for i, v in enumerate(order)}
+    later = [
+        [(w, label.bit(graph.edge_index(v, w))) for w in graph.adjacency[v] if rank[w] > i]
+        for i, v in enumerate(order)
+    ]
+    domains = [list(range(1 << t))] * n
+    stack = [(iter(domains[order[0]]), [])]
+    nodes = 0
+    while stack:
+        values, undo = stack[-1]
+        for w, old in undo:
+            domains[w] = old
+        undo.clear()
+        value = next(values, None)
+        if value is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > REFUTE_NODE_CAP:
+            return None
+        i = len(stack) - 1
+        for w, bit in later[i]:
+            undo.append((w, domains[w]))
+            domains[w] = [x for x in domains[w] if dot_bits(x, value) == bit]
+            if not domains[w]:
+                break
+        else:
+            if i + 1 == n:
+                return False
+            stack.append((iter(domains[order[i + 1]]), []))
+    return True
 
 
 def levels_to_text(levels) -> str:
@@ -119,6 +172,17 @@ def _read_assignment(graph: Graph, strings) -> Assignment:
     return Assignment.from_strings(graph, list(strings))
 
 
+def _check_refuted(res: CheckResult, graph: Graph, label: Label, t: int, claim: str) -> bool:
+    """Re-search the claim that no t-dimensional assignment exists; False
+    when the claim was left undecided."""
+    refuted = refute(graph, label, t) if t <= REFUTE_MAX_DIM else None
+    if refuted is not None and res.require(
+        refuted, f"{claim}: a {t}-dimensional assignment exists"
+    ):
+        res.note(f"{claim} re-searched: no {t}-dimensional assignment")
+    return refuted is not None
+
+
 def _check_assign_like(doc: dict, res: CheckResult) -> None:
     graph, label = _graph_and_label(doc)
     verdict = doc["verdict"]
@@ -126,9 +190,13 @@ def _check_assign_like(doc: dict, res: CheckResult) -> None:
         assignment = _read_assignment(graph, doc["assignment"])
         if res.require(assignment.t == doc["t"], "witness dimension differs from t"):
             res.require(verify(graph, label, assignment), "witness fails an edge equation")
+        if doc["kind"] == "mindim" and doc["t"] > 0:
+            _check_refuted(res, graph, label, doc["t"] - 1, "lower bound")
     elif verdict in ("unsat", "exceeds"):
         res.require(doc.get("assignment") is None, f"{verdict} verdict carries a witness")
-        res.note(f"{verdict} verdict accepted without re-search")
+        t = doc["t"] if verdict == "unsat" else doc["t_max"]
+        if not _check_refuted(res, graph, label, t, f"{verdict} verdict"):
+            res.note(f"{verdict} verdict accepted without re-search")
     else:
         res.fail(f"unknown verdict {verdict!r}")
 
@@ -151,6 +219,7 @@ def _check_distance(doc: dict, res: CheckResult) -> None:
             current = invert(current, xs)
         res.require(current == o2, "inversion sequence does not reach the target")
         res.require(len(doc["inversions"]) == d, "inversion count differs from distance")
+        _check_refuted(res, graph, diff, d - 1, "lower bound")
     oracle = doc.get("oracle")
     if oracle is not None:
         res.require(
@@ -171,6 +240,8 @@ def _check_diameter(doc: dict, res: CheckResult) -> None:
             "witness dimension differs from diameter",
         ):
             res.require(verify(graph, label, witness), "witness fails an edge equation")
+        if assign_part["diameter"] > 0:
+            _check_refuted(res, graph, label, assign_part["diameter"] - 1, "lower bound")
     bfs_part = doc.get("bfs")
     if assign_part is not None and bfs_part is not None:
         res.require(
@@ -263,7 +334,9 @@ def _check_search_hard(doc: dict, res: CheckResult) -> None:
         graph, _ = parse_labeled_graph(entry["graph"])
         label = Label.from_string(graph, entry["label"])
         if entry["min_dim"] is None:
-            res.note(f"entry {i}: above-t_max verdict accepted without re-search")
+            claim = f"entry {i}: above-t_max verdict"
+            if not _check_refuted(res, graph, label, doc["t_max"], claim):
+                res.note(f"{claim} accepted without re-search")
             continue
         if entry["min_dim"] == 0:
             res.require(label.bits == 0, f"entry {i}: nonzero label with min_dim 0")
@@ -277,6 +350,7 @@ def _check_search_hard(doc: dict, res: CheckResult) -> None:
                 verify(graph, label, assignment),
                 f"entry {i}: witness fails an edge equation",
             )
+        _check_refuted(res, graph, label, entry["min_dim"] - 1, f"entry {i}: lower bound")
 
 
 _CHECKERS = {
@@ -314,5 +388,6 @@ __all__ = [
     "family_from_json",
     "levels_to_text",
     "parse_levels_text",
+    "refute",
     "CheckResult",
 ]

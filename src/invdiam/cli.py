@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 
 from . import __version__, gf2, reducibility
 from .assignment import (
+    Assignment,
     assignment_to_inversions,
     diameter_via_assignment,
     hardest_label,
@@ -206,15 +207,19 @@ def cmd_family(args) -> Tuple[dict, int]:
 def cmd_probe(args) -> Tuple[dict, int]:
     graph, label = _load_graph(args.graph)
     levels = parse_levels_text(_read(args.levels), graph.n)
-    cert = json.loads(_read(args.assignment))
-    strings = cert["assignment"] if isinstance(cert, dict) else cert
+    try:
+        cert = json.loads(_read(args.assignment))
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"--assignment is not valid JSON: {exc}") from None
+    strings = cert.get("assignment") if isinstance(cert, dict) else cert
     if strings is None:
         raise InputFormatError("assignment certificate carries no witness")
-    from .assignment import Assignment
-
-    assignment = Assignment.from_strings(graph, strings)
     lg = reconstruct_leveled(graph, label, levels, args.k)
-    ind = probe_clique_independence(lg, assignment)
+    try:
+        assignment = Assignment.from_strings(graph, strings)
+        ind = probe_clique_independence(lg, assignment)  # checks dimension and label
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"unusable --assignment: {exc}") from None
     dich = probe_extension_dichotomy(lg, assignment)
     bad = probe_bad_cliques(lg, assignment)
     return {

@@ -11,6 +11,14 @@ boundary vectors from their candidate sets.
 Witness existence is monotone in the candidate sets, so the universal
 check only needs families whose sets sit at the constraint lower bounds;
 forced members are kept and the rest filled up to that minimum.
+
+Each admissible label word is decided from two things computed once: its
+witness set (the boundary tuples that extend into H, found in one pass
+over H's assignments) and a per-vertex table of candidate sets with their
+designated-value options.  A candidate-set combination is stuck when its
+product misses the witness set; its families are counted from the table.
+`check_family`, a separate backtracking search, re-checks single families
+and so confirms every counterexample independently.
 """
 
 from __future__ import annotations
@@ -19,7 +27,8 @@ import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations, product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from math import prod
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import gf2
 from .graph import Graph
@@ -114,19 +123,14 @@ class ReducibilityConfiguration:
         fixed = dict(self.fixed_labels)
         return tuple(e for e in range(self.graph.m) if e not in fixed)
 
-    def label_completions(self, order: str = "lex") -> Iterator[int]:
+    def label_completions(self) -> Iterator[int]:
         """All label words with the fixed bits set, free bits enumerated
-        ascending ("lex") or descending ("reversed")."""
+        in ascending order."""
         base = 0
         for e, b in self.fixed_labels:
             base |= b << e
         free = self.free_edges()
-        values = range(1 << len(free))
-        if order == "reversed":
-            values = reversed(values)
-        elif order != "lex":
-            raise ValueError(f"unknown label order {order!r}")
-        for val in values:
+        for val in range(1 << len(free)):
             word = base
             for i, e in enumerate(free):
                 if (val >> i) & 1:
@@ -218,38 +222,61 @@ def _is_double_pair(values: Sequence[int]) -> bool:
     return len(s) == 4 and s[0] == s[1] and s[2] == s[3]
 
 
+def _family_table(
+    cfg: ReducibilityConfiguration, labels: int
+) -> List[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
+    """Per boundary vertex, its minimum candidate sets in lexicographic
+    order, each with its designated-value options."""
+    return [
+        [(cset, cfg.designated_options(i, cset)) for cset in cfg.candidate_sets(i, labels)]
+        for i in range(len(cfg.boundary))
+    ]
+
+
+def _designated_tuples(
+    cfg: ReducibilityConfiguration, options: Sequence[Tuple[int, ...]]
+) -> Iterator[Tuple[int, ...]]:
+    """Designated-value tuples allowed by the linking rule, in
+    lexicographic order."""
+    for designated in product(*options):
+        if cfg.linking_ok(designated):
+            yield designated
+
+
 def enumerate_families(
     cfg: ReducibilityConfiguration, labels: int
 ) -> Iterator[BoundaryFamily]:
-    """Minimum-cardinality families in lexicographic (set, value) order."""
+    """Minimum-cardinality families in lexicographic order: candidate
+    sets first, then designated values (the order the scan uses)."""
     if not cfg.admissible(labels):
         raise ValueError("label completion violates the admissibility predicate")
-    per_vertex: List[List[Tuple[Tuple[int, ...], int]]] = []
-    for i in range(len(cfg.boundary)):
-        pairs = [
-            (cset, f)
-            for cset in cfg.candidate_sets(i, labels)
-            for f in cfg.designated_options(i, cset)
-        ]
-        per_vertex.append(pairs)
-    for chosen in product(*per_vertex):
-        designated = tuple(f for _, f in chosen)
-        if not cfg.linking_ok(designated):
-            continue
-        yield BoundaryFamily(tuple(c for c, _ in chosen), designated)
+    for row in product(*_family_table(cfg, labels)):
+        csets, options = zip(*row)
+        for designated in _designated_tuples(cfg, options):
+            yield BoundaryFamily(csets, designated)
 
 
 # -- witness search ---------------------------------------------------------
 
 
-def _search_assignment(
-    graph: Graph,
-    labels: int,
-    order: Sequence[int],
-    domains: Dict[int, Sequence[int]],
+def check_family(
+    cfg: ReducibilityConfiguration, labels: int, fam: BoundaryFamily
 ) -> Optional[Dict[int, int]]:
-    """First assignment (in the given vertex/value order) satisfying every
-    edge label, or None."""
+    """Search for a witness assignment with boundary vectors drawn from the
+    family's candidate sets; None means the family is stuck.
+
+    A plain backtracking search over the whole graph, boundary first, that
+    shares no code with the scan's witness sets."""
+    if not cfg.admissible(labels):
+        raise ValueError("label completion violates the admissibility predicate")
+    cfg.validate_family(labels, fam)
+    graph = cfg.graph
+    order = list(cfg.boundary) + sorted(cfg.h_vertices)
+    domains: Dict[int, Sequence[int]] = {
+        u: fam.candidates[i] for i, u in enumerate(cfg.boundary)
+    }
+    for v in cfg.h_vertices:
+        domains[v] = ALL_VECTORS
     chosen: Dict[int, int] = {}
 
     def fits(v: int, word: int) -> bool:
@@ -275,74 +302,32 @@ def _search_assignment(
     return dict(chosen) if descend(0) else None
 
 
-def check_family(
-    cfg: ReducibilityConfiguration, labels: int, fam: BoundaryFamily
-) -> Optional[Dict[int, int]]:
-    """Search for a witness assignment with boundary vectors drawn from the
-    family's candidate sets; None means the family is stuck."""
-    if not cfg.admissible(labels):
-        raise ValueError("label completion violates the admissibility predicate")
-    cfg.validate_family(labels, fam)
-    order = list(cfg.boundary) + sorted(cfg.h_vertices)
-    domains: Dict[int, Sequence[int]] = {
-        u: fam.candidates[i] for i, u in enumerate(cfg.boundary)
-    }
-    for v in cfg.h_vertices:
-        domains[v] = ALL_VECTORS
-    return _search_assignment(cfg.graph, labels, order, domains)
+def _witness_set(cfg: ReducibilityConfiguration, labels: int) -> Set[Tuple[int, ...]]:
+    """Boundary tuples (in boundary order, over all of F2^3) that extend to
+    an assignment of H satisfying every label.
 
-
-class _InnerOracle:
-    """Memoized existence of an H-interior extension for fixed boundary vectors."""
-
-    def __init__(self, cfg: ReducibilityConfiguration):
-        self.cfg = cfg
-        self.h_order = sorted(cfg.h_vertices)
-        self.cache: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
-
-    def exists(self, labels: int, boundary_vectors: Tuple[int, ...]) -> bool:
-        key = (labels, boundary_vectors)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        domains: Dict[int, Sequence[int]] = {
-            u: (w,) for u, w in zip(self.cfg.boundary, boundary_vectors)
-        }
-        for v in self.h_order:
-            domains[v] = ALL_VECTORS
-        found = (
-            _search_assignment(
-                self.cfg.graph, labels, list(self.cfg.boundary) + self.h_order, domains
-            )
-            is not None
-        )
-        self.cache[key] = found
-        return found
-
-
-def _designated_count_and_first(
-    cfg: ReducibilityConfiguration, bcombo: Sequence[Tuple[int, ...]]
-) -> Tuple[int, Optional[Tuple[int, ...]]]:
-    """Number of valid designated-value tuples for the candidate sets, and
-    the lexicographically first one."""
-    options = [
-        cfg.designated_options(i, cset) for i, cset in enumerate(bcombo)
+    Boundary vertices are pairwise nonadjacent, so once H's vectors are
+    fixed each boundary vertex's allowed vectors depend on those alone."""
+    g = cfg.graph
+    pos = {v: i for i, v in enumerate(sorted(cfg.h_vertices))}
+    inner = [
+        (pos[u], pos[v], (labels >> e) & 1)
+        for e, (u, v) in enumerate(g.edges)
+        if u in pos and v in pos
     ]
-    if any(not opts for opts in options):
-        return 0, None
-    if cfg.linking is None:
-        count = 1
-        for opts in options:
-            count *= len(opts)
-        return count, tuple(opts[0] for opts in options)
-    count = 0
-    first: Optional[Tuple[int, ...]] = None
-    for designated in product(*options):
-        if cfg.linking_ok(designated):
-            if first is None:
-                first = designated
-            count += 1
-    return count, first
+    ties = [
+        [(pos[h], (labels >> g.edge_index(u, h)) & 1) for h in g.adjacency[u]]
+        for u in cfg.boundary
+    ]
+    witnesses: Set[Tuple[int, ...]] = set()
+    for vectors in product(ALL_VECTORS, repeat=len(pos)):
+        if all(gf2.dot_bits(vectors[a], vectors[b]) == bit for a, b, bit in inner):
+            allowed = [
+                [w for w in ALL_VECTORS if all(gf2.dot_bits(w, vectors[h]) == bit for h, bit in tie)]
+                for tie in ties
+            ]
+            witnesses.update(product(*allowed))
+    return witnesses
 
 
 @dataclass(frozen=True)
@@ -423,39 +408,33 @@ def _scan_labels(
 ) -> Tuple[int, int, Optional[Counterexample]]:
     """Scan complete label words; returns (labels, families, counterexample).
 
-    A candidate-set combination needs a witness only if some valid
-    designated tuple realizes it, and witness existence never depends on
-    the designated values, so those are counted arithmetically and only
-    materialized for a counterexample.
+    Each admissible word is decided from its witness set: a candidate-set
+    combination is stuck when no tuple of its product has an extension
+    into H.  Witness existence never depends on the designated values, so
+    those are only counted, and materialized for a counterexample.
     """
-    oracle = _InnerOracle(cfg)
-    b = len(cfg.boundary)
     labels_checked = 0
     families_checked = 0
     for labels in label_words:
         if not cfg.admissible(labels):
             continue
         labels_checked += 1
-        per_vertex_sets = [cfg.candidate_sets(i, labels) for i in range(b)]
-        if any(not sets for sets in per_vertex_sets):
-            continue
-        for bcombo in product(*per_vertex_sets):
-            count, first = _designated_count_and_first(cfg, bcombo)
+        witnesses = _witness_set(cfg, labels)
+        for row in product(*_family_table(cfg, labels)):
+            csets, options = zip(*row)
+            if cfg.linking is None:
+                count = prod(map(len, options))
+            else:
+                count = sum(1 for _ in _designated_tuples(cfg, options))
             if count == 0:
                 continue
             families_checked += count
-            witness = False
-            for tup in product(*bcombo):
-                if oracle.exists(labels, tup):
-                    witness = True
-                    break
-            if not witness:
-                assert first is not None
-                fam = BoundaryFamily(tuple(bcombo), first)
+            if witnesses.isdisjoint(product(*csets)):
+                first = next(_designated_tuples(cfg, options))
                 return (
                     labels_checked,
                     families_checked,
-                    Counterexample("main", labels, fam),
+                    Counterexample("main", labels, BoundaryFamily(csets, first)),
                 )
     return labels_checked, families_checked, None
 
@@ -465,16 +444,11 @@ def _scan_labels_task(args) -> Tuple[int, int, Optional[Counterexample]]:
     return _scan_labels(cfg, words)
 
 
-def check_reducible(
-    cfg: ReducibilityConfiguration,
-    label_order: str = "lex",
-    jobs: int = 1,
-) -> CheckReport:
+def check_reducible(cfg: ReducibilityConfiguration, jobs: int = 1) -> CheckReport:
     """Exhaustively confirm reducibility, or return the first failing pair.
 
     The counterexample, when present, is the first in (label word,
-    candidate sets, designated values) lexicographic order for the given
-    label direction; the verdict itself does not depend on the order.
+    candidate sets, designated values) lexicographic order.
     """
     start = time.monotonic()
     family_count = 0
@@ -490,7 +464,7 @@ def check_reducible(
                 time.monotonic() - start,
                 failure,
             )
-    words = list(cfg.label_completions(label_order))
+    words = list(cfg.label_completions())
     if jobs > 1 and len(words) > 1:
         chunks = [words[i::jobs] for i in range(jobs)]
         # Round-robin chunks preserve a deterministic merge: results are
@@ -709,49 +683,52 @@ class Mutation:
     name: str
     config: str
     description: str
+    transform: Callable[[ReducibilityConfiguration], ReducibilityConfiguration]
 
 
-def _mutate_rules(cfg: ReducibilityConfiguration, **changes) -> ReducibilityConfiguration:
-    return replace(cfg, rules=tuple(replace(r, **changes) for r in cfg.rules))
+def _rules_with(**changes) -> Callable[[ReducibilityConfiguration], ReducibilityConfiguration]:
+    """The transform that applies the same field changes to every rule."""
+    return lambda cfg: replace(cfg, rules=tuple(replace(r, **changes) for r in cfg.rules))
 
 
 def apply_mutation(cfg: ReducibilityConfiguration, mutation_name: str) -> ReducibilityConfiguration:
-    mutations = builtin_mutations()
-    if mutation_name not in mutations:
+    mut = builtin_mutations().get(mutation_name)
+    if mut is None:
         raise ValueError(f"unknown mutation {mutation_name!r}")
-    mut = mutations[mutation_name]
     if mut.config != cfg.name:
         raise ValueError(f"mutation {mutation_name!r} targets {mut.config}, not {cfg.name}")
-    cfg = replace(cfg, name=f"{cfg.name}[{mutation_name}]")
-    if mutation_name == "k4minus-drop-min-size":
-        return _mutate_rules(cfg, min_size=1)
-    if mutation_name == "triangle-drop-linking":
-        return replace(cfg, linking=None)
-    if mutation_name == "p3-drop-min-size":
-        return _mutate_rules(cfg, min_size=1)
-    if mutation_name == "k23-drop-min-size":
-        return _mutate_rules(cfg, min_size=1)
-    if mutation_name == "c4a-allow-zero":
-        return _mutate_rules(cfg, exclude_zero=EXCLUDE_NEVER, designated_nonzero=False)
-    if mutation_name == "c4b-shrink-choice":
-        return replace(cfg, choice_multi_min=1)
-    if mutation_name == "bridge-allow-zero-singletons":
-        return _mutate_rules(cfg, min_size=1, exclude_zero=EXCLUDE_NEVER)
-    raise AssertionError(f"unhandled mutation {mutation_name!r}")
+    return mut.transform(replace(cfg, name=f"{cfg.name}[{mutation_name}]"))
 
 
 def builtin_mutations() -> Dict[str, Mutation]:
+    singletons = "candidate sets may be singletons"
     muts = [
-        Mutation("k4minus-drop-min-size", "K4minus", "candidate sets may be singletons"),
-        Mutation("triangle-drop-linking", "triangle", "drop the equal-values linking rule"),
-        Mutation("p3-drop-min-size", "P3", "candidate sets may be singletons"),
-        Mutation("k23-drop-min-size", "K23", "candidate sets may be singletons"),
-        Mutation("c4a-allow-zero", "C4_a", "allow the zero vector as a current value"),
-        Mutation("c4b-shrink-choice", "C4_b", "choice-stage sets may be singletons"),
+        Mutation("k4minus-drop-min-size", "K4minus", singletons, _rules_with(min_size=1)),
+        Mutation(
+            "triangle-drop-linking",
+            "triangle",
+            "drop the equal-values linking rule",
+            lambda cfg: replace(cfg, linking=None),
+        ),
+        Mutation("p3-drop-min-size", "P3", singletons, _rules_with(min_size=1)),
+        Mutation("k23-drop-min-size", "K23", singletons, _rules_with(min_size=1)),
+        Mutation(
+            "c4a-allow-zero",
+            "C4_a",
+            "allow the zero vector as a current value",
+            _rules_with(exclude_zero=EXCLUDE_NEVER, designated_nonzero=False),
+        ),
+        Mutation(
+            "c4b-shrink-choice",
+            "C4_b",
+            "choice-stage sets may be singletons",
+            lambda cfg: replace(cfg, choice_multi_min=1),
+        ),
         Mutation(
             "bridge-allow-zero-singletons",
             "bridge",
             "allow zero vectors and singleton candidate sets",
+            _rules_with(min_size=1, exclude_zero=EXCLUDE_NEVER),
         ),
     ]
     return {m.name: m for m in muts}

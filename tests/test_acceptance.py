@@ -23,7 +23,7 @@ from invdiam.assignment import (
     solve,
     verify,
 )
-from invdiam.certificates import check_certificate
+from invdiam.certificates import check_certificate, refute
 from invdiam.cli import main as cli_main
 from invdiam.family import (
     build_family,
@@ -31,7 +31,6 @@ from invdiam.family import (
     probe_clique_independence,
     probe_extension_dichotomy,
 )
-from invdiam.gf2 import dot_bits
 from invdiam.graph import Graph, Label
 from invdiam.inversion import bfs_all_distances, bfs_diameter
 from invdiam.reducibility import builtin_mutations, run_suite
@@ -186,10 +185,23 @@ def test_criterion_4_degree_bounds():
     assert elapsed < 900.0
 
 
+# Families checked per configuration; the exhaustive scan must reproduce each.
+_FAMILY_COUNTS = {
+    "K4minus": 1254400,
+    "triangle": 88795,
+    "P3": 403368,
+    "K23": 2744000,
+    "C4_a": 9604,
+    "C4_b": 67095,
+    "bridge": 49787136,
+}
+
+
 def test_criterion_5_reducibility_suite(tmp_path):
     start = time.monotonic()
     suite = run_suite(jobs=1)
-    suite_ok = suite.passed and len(suite.rows) == 7
+    counts = {r.name: r.family_count for r in suite.rows}
+    suite_ok = suite.passed and counts == _FAMILY_COUNTS
     lines = [f"{r.name}={r.verdict}({r.family_count})" for r in suite.rows]
     mutation_ok = True
     mutation_notes = []
@@ -258,7 +270,7 @@ def test_criterion_7_scan_reports():
         lg = build_family(2, m_star)
         witness = solve(lg.graph, lg.label, 4)
         witness_ok = witness is not None and verify(lg.graph, lg.label, witness)
-        independent = _refute_independent(lg.graph, lg.label, 3, node_cap=50_000_000)
+        independent = refute(lg.graph, lg.label, 3)
         ok = witness_ok and independent is True
         detail += (
             f"; dimension 3 refuted at m={m_star} (n={lg.graph.n}): "
@@ -270,51 +282,6 @@ def test_criterion_7_scan_reports():
     assert ok
     assert len(rows) == 6
     assert elapsed < budget + 120.0  # build time on top of the solve budget
-
-
-def _refute_independent(g: Graph, label: Label, t: int, node_cap: int = 5_000_000):
-    """Complete domain-filtering search with no linear algebra; returns
-    True (refuted), False (witness exists), or None (node cap hit)."""
-    n = g.n
-    full = list(range(1 << t))
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    rank = {v: i for i, v in enumerate(order)}
-    domains = [full] * n
-    nodes = 0
-
-    def descend(i, domains):
-        nonlocal nodes
-        if i == n:
-            return False  # complete assignment found; not refuted
-        v = order[i]
-        for value in domains[v]:
-            nodes += 1
-            if nodes > node_cap:
-                raise TimeoutError
-            pruned = {}
-            dead = False
-            for w in g.adjacency[v]:
-                if rank[w] > i:
-                    b = label.bit(g.edge_index(v, w))
-                    new = [x for x in domains[w] if dot_bits(x, value) == b]
-                    if not new:
-                        dead = True
-                        break
-                    pruned[w] = new
-            if dead:
-                continue
-            nxt = list(domains)
-            nxt[v] = [value]
-            for w, dom in pruned.items():
-                nxt[w] = dom
-            if not descend(i + 1, nxt):
-                return False
-        return True
-
-    try:
-        return descend(0, domains)
-    except TimeoutError:
-        return None
 
 
 def test_criterion_8_outerplanar_search(outerplanar_corpus):
@@ -347,7 +314,7 @@ def test_criterion_8_outerplanar_search(outerplanar_corpus):
     if best_dim >= 4 and best is not None:
         g, label = best
         witness = solve(g, label, 4)
-        refuted = _refute_independent(g, label, 3)
+        refuted = refute(g, label, 3)
         found_ok = witness is not None and verify(g, label, witness) and refuted is True
         detail += (
             f"; dimension-4 instance on n={g.n}: witness="

@@ -5,9 +5,11 @@ import sys
 import pytest
 
 from invdiam import gf2
-from invdiam.assignment import min_dim
+from invdiam.assignment import assignment_to_inversions, min_dim, solve
+from invdiam.certificates import levels_to_text
 from invdiam.cli import main
-from invdiam.graph import parse_labeled_graph
+from invdiam.family import build_family
+from invdiam.graph import Label, parse_labeled_graph, serialize_labeled_graph
 
 K2_ONE = "2 1\n0 1 1\n"
 C4 = "4 4\n0 1 1\n1 2 0\n2 3 1\n0 3 0\n"  # opposite edges labeled
@@ -262,6 +264,106 @@ class TestSearchHard:
         assert code == 0 and doc["entries"] == []
 
 
+def _emitted(tmp_path, argv):
+    cert = tmp_path / "emitted.json"
+    assert main(argv + ["--out", str(cert), "--no-meta"]) == 0
+    return json.loads(cert.read_text())
+
+
+def _c4_exceeds(tmp_path, c4):
+    # C4 with opposite edges labelled 1 needs t = 2.
+    doc = _emitted(tmp_path, ["mindim", c4])
+    doc.update(verdict="exceeds", t=4, t_max=4, assignment=None)
+    return doc
+
+
+def _c4_unsat(tmp_path, c4):
+    doc = _emitted(tmp_path, ["assign", c4, "--t", "2"])
+    doc.update(verdict="unsat", assignment=None)
+    return doc
+
+
+def _c4_mindim_too_high(tmp_path, c4):
+    graph, label = parse_labeled_graph(C4)
+    doc = _emitted(tmp_path, ["mindim", c4])
+    doc.update(t=3, assignment=solve(graph, label, 3).to_strings())
+    return doc
+
+
+def _c4_distance_too_high(tmp_path, c4):
+    o1, o2 = tmp_path / "o1.txt", tmp_path / "o2.txt"
+    o1.write_text("0000\n")
+    o2.write_text("1001\n")
+    doc = _emitted(tmp_path, ["distance", c4, str(o1), str(o2)])
+    graph, _ = parse_labeled_graph(C4)
+    witness = solve(graph, Label.from_string(graph, doc["label"]), 3)
+    doc.update(
+        distance=3,
+        assignment=witness.to_strings(),
+        inversions=assignment_to_inversions(witness),
+    )
+    return doc
+
+
+def _k4_search_hard_null(tmp_path, c4):
+    graphs = tmp_path / "graphs.ilg"
+    graphs.write_text(K4)
+    doc = _emitted(tmp_path, ["search-hard", str(graphs), "--budget", "64"])
+    doc["entries"][0].update(min_dim=None, assignment=None)
+    return doc
+
+
+def _k4_search_hard_too_high(tmp_path, c4):
+    # The hardest K4 label needs t = 3; claim 4 with a valid witness.
+    graphs = tmp_path / "graphs.ilg"
+    graphs.write_text(K4)
+    doc = _emitted(tmp_path, ["search-hard", str(graphs), "--budget", "64"])
+    entry = doc["entries"][0]
+    graph, _ = parse_labeled_graph(entry["graph"])
+    witness = solve(graph, Label.from_string(graph, entry["label"]), 4)
+    entry.update(min_dim=4, assignment=witness.to_strings())
+    return doc
+
+
+def _k4_diameter_too_high(tmp_path, c4):
+    graphs = tmp_path / "k4.ilg"
+    graphs.write_text(K4)
+    doc = _emitted(tmp_path, ["diameter", str(graphs)])
+    graph, _ = parse_labeled_graph(K4)
+    witness = solve(graph, Label.from_string(graph, doc["assign"]["hardest_label"]), 4)
+    doc["assign"].update(diameter=4, assignment=witness.to_strings())
+    doc["diameter"] = 4
+    return doc
+
+
+def _stage4_exceeds(tmp_path, c4):
+    # The k=2 family at stage 4 (3282 vertices) has a 4-dimensional assignment.
+    lg = build_family(2, 4)
+    return {
+        "kind": "mindim",
+        "graph": serialize_labeled_graph(lg.graph, lg.label),
+        "label": lg.label.to_string(),
+        "t": 4,
+        "t_max": 4,
+        "assignment": None,
+        "verdict": "exceeds",
+    }
+
+
+# Negative verdicts and lower bounds edited to be false: check re-searches
+# each and finds the assignment the claim denies.
+_FALSE_NEGATIVES = {
+    "c4-exceeds": _c4_exceeds,
+    "c4-unsat": _c4_unsat,
+    "c4-mindim-too-high": _c4_mindim_too_high,
+    "c4-distance-too-high": _c4_distance_too_high,
+    "k4-search-hard-null": _k4_search_hard_null,
+    "k4-search-hard-too-high": _k4_search_hard_too_high,
+    "k4-diameter-too-high": _k4_diameter_too_high,
+    "stage4-exceeds": _stage4_exceeds,
+}
+
+
 class TestCheckCommand:
     @pytest.mark.parametrize(
         "argv",
@@ -340,6 +442,34 @@ class TestCheckCommand:
         p.write_text("{")
         assert main(["check", str(p)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, note",
+        [
+            (["assign", "{c4}", "--t", "1"], "unsat verdict"),
+            (["mindim", "{c4}"], "lower bound"),
+            (["mindim", "{c4}", "--t-max", "1"], "exceeds verdict"),
+        ],
+        ids=["unsat", "lower-bound", "exceeds"],
+    )
+    def test_negative_verdicts_re_searched(self, capsys, tmp_path, c4_file, argv, note):
+        cert = tmp_path / "cert.json"
+        assert main([a.format(c4=c4_file) for a in argv] + ["--out", str(cert), "--no-meta"]) == 0
+        code, doc = run_cli(capsys, "check", str(cert), "--no-meta")
+        assert code == 0 and doc["valid"]
+        assert doc["notes"] == [f"{note} re-searched: no 1-dimensional assignment"]
+
+    @pytest.mark.parametrize(
+        "tamper", list(_FALSE_NEGATIVES.values()), ids=list(_FALSE_NEGATIVES)
+    )
+    def test_false_negative_verdict_rejected(self, capsys, tmp_path, c4_file, tamper):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(tamper(tmp_path, c4_file)))
+        code = main(["check", str(cert), "--no-meta"])
+        out = capsys.readouterr()
+        doc = json.loads(out.out)
+        assert code == 1 and not doc["valid"] and out.err == ""
+        assert any(n.endswith("-dimensional assignment exists") for n in doc["notes"]), doc
+
 
 # Each argument error exits 2 with a JSON error document, and a distance
 # beyond --t-max exits 3.
@@ -360,6 +490,18 @@ _ERROR_CASES = {
     ),
     "check-json-array": (["check", "{array}"], 2, "input"),
     "reduce-jobs-0": (["reduce", "--config", "P3", "--jobs", "0"], 2, "input"),
+    "probe-assignment-not-json": (
+        ["probe", "{fam}", "--levels", "{levels}", "--assignment", "{not_json}"], 2, "input"
+    ),
+    "probe-assignment-no-witness": (
+        ["probe", "{fam}", "--levels", "{levels}", "--assignment", "{no_witness}"], 2, "input"
+    ),
+    "probe-assignment-wrong-dimension": (
+        ["probe", "{fam}", "--levels", "{levels}", "--assignment", "{t4_witness}"], 2, "input"
+    ),
+    "probe-assignment-bad-vector": (
+        ["probe", "{fam}", "--levels", "{levels}", "--assignment", "{bad_vector}"], 2, "input"
+    ),
     # The C4 orientations are at distance 2.
     "distance-exceeds-t-max": (
         ["distance", "{c4}", "{o1}", "{o2}", "--t-max", "1"], 3, "budget"
@@ -372,8 +514,21 @@ class TestExitContract:
         "argv, code, category", list(_ERROR_CASES.values()), ids=list(_ERROR_CASES)
     )
     def test_error_document(self, capsys, tmp_path, c4_file, argv, code, category):
+        lg = build_family(2, 1)
+        witness = solve(lg.graph, lg.label, 3).to_strings()
+        texts = {
+            "o1": "0000",
+            "o2": "1001",
+            "array": "[1, 2]",
+            "fam": serialize_labeled_graph(lg.graph, lg.label),
+            "levels": levels_to_text(lg.levels),
+            "not_json": "{",
+            "no_witness": json.dumps({"kind": "assign"}),
+            "t4_witness": json.dumps({"assignment": solve(lg.graph, lg.label, 4).to_strings()}),
+            "bad_vector": json.dumps({"assignment": ["01x"] + witness[1:]}),
+        }
         paths = {"c4": c4_file}
-        for name, text in (("o1", "0000"), ("o2", "1001"), ("array", "[1, 2]")):
+        for name, text in texts.items():
             paths[name] = str(tmp_path / name)
             (tmp_path / name).write_text(text + "\n")
         assert main([a.format(**paths) for a in argv]) == code

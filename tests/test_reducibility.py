@@ -1,5 +1,5 @@
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -17,6 +17,7 @@ from invdiam.reducibility import (
     enumerate_families,
     run_suite,
 )
+from invdiam.reducibility import _scan_labels, _witness_set
 
 
 def star_config(pendant_label, min_size=1, exclude="never"):
@@ -175,15 +176,18 @@ class TestCheckReducible:
     def test_order_independent_verdict(self):
         for name in ("P3", "C4_a", "triangle"):
             cfg = builtin_configs()[name]
-            lex = check_reducible(cfg, label_order="lex")
-            rev = check_reducible(cfg, label_order="reversed")
-            assert lex.verdict == rev.verdict
+            words = list(cfg.label_completions())
+            forward = _scan_labels(cfg, words)
+            backward = _scan_labels(cfg, list(reversed(words)))
+            assert forward == backward and forward[2] is None
 
     def test_mutated_verdict_order_independent(self):
         cfg = apply_mutation(builtin_configs()["P3"], "p3-drop-min-size")
-        lex = check_reducible(cfg, label_order="lex")
-        rev = check_reducible(cfg, label_order="reversed")
-        assert lex.verdict == rev.verdict == "counterexample"
+        words = list(cfg.label_completions())
+        for scan_words in (words, list(reversed(words))):
+            cex = _scan_labels(cfg, scan_words)[2]
+            assert cex is not None
+            assert check_family(cfg, cex.labels, cex.family) is None
 
     def test_jobs_match_serial(self):
         cfg = builtin_configs()["P3"]
@@ -200,6 +204,39 @@ class TestCheckReducible:
         assert cex is not None and cex.stage == "main"
         cfg.validate_family(cex.labels, cex.family)
         assert check_family(cfg, cex.labels, cex.family) is None
+
+
+def _scan_cases():
+    configs = builtin_configs()
+    cases = [configs[name] for name in ("triangle", "C4_a", "C4_b")]
+    for name, mut in sorted(builtin_mutations().items()):
+        cases.append(apply_mutation(configs[mut.config], name))
+    return cases
+
+
+class TestScanAgreesWithCheckFamily:
+    """The scan's witness-set decision against the independent backtracking
+    search of check_family, and its family count against the enumerator."""
+
+    @pytest.mark.parametrize("cfg", _scan_cases(), ids=lambda cfg: cfg.name)
+    def test_per_label_word(self, cfg):
+        rng = random.Random(cfg.name)
+        for labels in cfg.label_completions():
+            if not cfg.admissible(labels):
+                continue
+            witnesses = _witness_set(cfg, labels)
+            fams = list(enumerate_families(cfg, labels))
+            for fam in rng.sample(fams, min(12, len(fams))):
+                stuck = witnesses.isdisjoint(product(*fam.candidates))
+                assert stuck == (check_family(cfg, labels, fam) is None)
+            _, count, cex = _scan_labels(cfg, [labels])
+            if cex is None:
+                assert count == len(fams)
+                continue
+            # The counterexample is the first stuck family the enumerator
+            # yields, and the count runs through its candidate-set combination.
+            assert cex.family == next(f for f in fams if check_family(cfg, labels, f) is None)
+            assert count == sum(1 for f in fams if f.candidates <= cex.family.candidates)
 
 
 class TestMutations:

@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Run a fixed corpus of CLI invocations with --no-meta and record each one.
+
+OUT_DIR/<name>.out holds an invocation's exit code, then its stdout;
+<name>.check.out the same for `invdiam check` on that output.  Compare two
+checkouts with `diff -r` on their directories:
+
+    PYTHONPATH=src python3 tools/no_meta_corpus.py /tmp/corpus-new
+
+Corpus: each corpus_n5 and outer-planar fixture graph, relabelled 1010...,
+through `assign --t 1..4`, `mindim`, `distance --oracle` (all-zero to the
+alternating orientation) and, if m <= 12, `diameter --engine both`;
+`search-hard --budget 256` on each outer-planar file; `reduce --all` and the seven
+`reduce --mutate` controls; `family --k 2 --m 2` and `--m 3`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+import traceback
+from pathlib import Path
+
+from invdiam.cli import main
+from invdiam.graph import Label, parse_labeled_graphs, serialize_labeled_graph
+from invdiam.reducibility import builtin_mutations
+
+FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+
+
+def run(name: str, argv) -> None:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        try:
+            code = main(list(argv) + ["--no-meta"])
+        except Exception:  # a traceback is a finding; record it, keep going
+            code = "traceback " + traceback.format_exc().splitlines()[-1]
+    Path(f"{name}.out").write_text(f"exit {code}\n{stdout.getvalue()}")
+    if argv[0] != "check":
+        Path(f"{name}.json").write_text(stdout.getvalue())
+        run(f"{name}.check", ["check", f"{name}.json"])
+
+
+def corpus():
+    for path in sorted((FIXTURES / "corpus_n5").glob("*.ilg")):
+        yield path.stem, parse_labeled_graphs(path.read_text())[0][0]
+    for path in sorted((FIXTURES / "outerplanar").glob("*.ilg")):
+        for i, (graph, _) in enumerate(parse_labeled_graphs(path.read_text())):
+            yield f"{path.stem}_{i:02d}", graph
+
+
+def main_corpus(out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    os.chdir(out_dir)  # relative paths keep the outputs independent of OUT_DIR
+    for name, graph in corpus():
+        alternating = "".join("1" if e % 2 == 0 else "0" for e in range(graph.m))
+        label = Label.from_string(graph, alternating)
+        Path(f"{name}.ilg").write_text(serialize_labeled_graph(graph, label) + "\n")
+        Path(f"{name}.o1").write_text("0" * graph.m + "\n")
+        Path(f"{name}.o2").write_text(alternating + "\n")
+        for t in range(1, 5):
+            run(f"{name}.assign{t}", ["assign", f"{name}.ilg", "--t", str(t)])
+        run(f"{name}.mindim", ["mindim", f"{name}.ilg"])
+        run(f"{name}.distance", ["distance", f"{name}.ilg", f"{name}.o1", f"{name}.o2", "--oracle"])
+        if graph.m <= 12:
+            run(f"{name}.diameter", ["diameter", f"{name}.ilg", "--engine", "both"])
+    for path in sorted((FIXTURES / "outerplanar").glob("*.ilg")):
+        run(f"{path.stem}.search-hard", ["search-hard", str(path), "--budget", "256"])
+    run("reduce-all", ["reduce", "--all"])
+    for mutation in sorted(builtin_mutations()):
+        run(f"reduce-{mutation}", ["reduce", "--mutate", mutation])
+    for m in (2, 3):
+        run(f"family-k2-m{m}", ["family", "--k", "2", "--m", str(m)])
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: no_meta_corpus.py OUT_DIR")
+    main_corpus(Path(sys.argv[1]).resolve())
