@@ -8,6 +8,7 @@ the exact distance/diameter engine for graphs too large for plain BFS.
 from __future__ import annotations
 
 import functools
+import heapq
 import random
 import time
 from dataclasses import dataclass
@@ -15,7 +16,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .errors import BudgetExceededError
-from .gf2 import Gf2Vector
 from .graph import Graph, Label
 
 DIAMETER_LABEL_BUDGET = 24
@@ -24,36 +24,40 @@ _DEADLINE_CHECK_INTERVAL = 2048
 
 @dataclass(frozen=True)
 class Assignment:
-    """One vector of dimension t per vertex."""
+    """One vector of F2^t per vertex, as words: coordinate i of vertex v's
+    vector is bit i of words[v] (the text form puts coordinate 0 first)."""
 
     graph: Graph
     t: int
-    vectors: Tuple[Gf2Vector, ...]
+    words: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.vectors) != self.graph.n:
-            raise ValueError(
-                f"expected {self.graph.n} vectors, got {len(self.vectors)}"
-            )
-        for v in self.vectors:
-            if v.dim != self.t:
-                raise ValueError(f"vector dim {v.dim} != t={self.t}")
+        if len(self.words) != self.graph.n:
+            raise ValueError(f"expected {self.graph.n} vectors, got {len(self.words)}")
+        _check_t(self.t)
+        if self.words and not (0 <= min(self.words) and max(self.words) < 1 << self.t):
+            raise ValueError(f"a vector has set bits at or above dimension t={self.t}")
 
     def bits(self) -> List[int]:
-        return [v.bits for v in self.vectors]
+        return list(self.words)
 
     def to_strings(self) -> List[str]:
-        return [v.to_string() for v in self.vectors]
+        t = self.t
+        return [format(w, f"0{t}b")[::-1] if t else "" for w in self.words]
 
     @classmethod
     def from_bits(cls, graph: Graph, t: int, bits: Sequence[int]) -> "Assignment":
-        return cls(graph, t, tuple(Gf2Vector(t, b) for b in bits))
+        return cls(graph, t, tuple(bits))
 
     @classmethod
     def from_strings(cls, graph: Graph, strings: Sequence[str]) -> "Assignment":
-        vecs = tuple(Gf2Vector.from_string(s) for s in strings)
-        t = vecs[0].dim if vecs else 0
-        return cls(graph, t, vecs)
+        t = len(strings[0]) if strings else 0
+        for s in strings:
+            if len(s) != t:
+                raise ValueError(f"vector {s!r} has length {len(s)}, expected {t}")
+            if not set(s) <= {"0", "1"}:
+                raise ValueError(f"invalid vector string {s!r}")
+        return cls(graph, t, tuple(int(s[::-1], 2) if t else 0 for s in strings))
 
 
 def verify(graph: Graph, label: Label, assignment: Assignment) -> bool:
@@ -62,9 +66,10 @@ def verify(graph: Graph, label: Label, assignment: Assignment) -> bool:
         raise ValueError("assignment belongs to a different graph")
     if label.graph != graph:
         raise ValueError("label belongs to a different graph")
-    bits = assignment.bits()
+    words = assignment.words
+    bits = label.bits
     for e, (u, v) in enumerate(graph.edges):
-        if gf2.dot_bits(bits[u], bits[v]) != label.bit(e):
+        if (words[u] & words[v]).bit_count() & 1 != (bits >> e) & 1:
             return False
     return True
 
@@ -78,7 +83,12 @@ class _SolveContext:
 
     Vertices are ordered by descending adjacency into the already-placed
     prefix (ties by index), so each new vertex meets the largest possible
-    linear system and candidates come from its affine solution set.
+    linear system and candidates come from its affine solution set.  The
+    order is built in O(m log n): buckets[c] is a min-heap of the vertices
+    that reached c placed neighbours, `top` is the highest bucket that may
+    hold an unplaced vertex at its current count, and an entry whose vertex
+    has since reached a higher count is dropped when it surfaces.  A placed
+    vertex stops counting, so its entries left in lower buckets are stale.
     """
 
     def __init__(self, graph: Graph):
@@ -87,15 +97,28 @@ class _SolveContext:
         placed: List[int] = []
         in_prefix = [False] * n
         deg_into = [0] * n
+        buckets: List[List[int]] = [list(range(n))]
+        top = 0
         for _ in range(n):
-            best = -1
-            for v in range(n):
-                if not in_prefix[v] and (best < 0 or deg_into[v] > deg_into[best]):
-                    best = v
+            while True:
+                bucket = buckets[top]
+                if not bucket:
+                    top -= 1
+                    continue
+                best = heapq.heappop(bucket)
+                if deg_into[best] == top:  # else a stale entry
+                    break
             placed.append(best)
             in_prefix[best] = True
             for w in graph.adjacency[best]:
-                deg_into[w] += 1
+                if in_prefix[w]:
+                    continue
+                c = deg_into[w] = deg_into[w] + 1
+                if c == len(buckets):
+                    buckets.append([])
+                heapq.heappush(buckets[c], w)
+                if c > top:
+                    top = c
         self.order = placed
         pos_of = {v: p for p, v in enumerate(placed)}
         # For each position: (earlier position, edge index) per placed
@@ -422,10 +445,8 @@ def assignment_to_inversions(assignment: Assignment) -> List[List[int]]:
     each edge uv exactly f(u).f(v) times mod 2, i.e. realizes the label
     the assignment certifies.
     """
-    return [
-        [v for v in range(assignment.graph.n) if assignment.vectors[v].coordinate(i)]
-        for i in range(assignment.t)
-    ]
+    words = assignment.words
+    return [[v for v, w in enumerate(words) if (w >> i) & 1] for i in range(assignment.t)]
 
 
 __all__ = [

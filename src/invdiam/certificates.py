@@ -221,7 +221,13 @@ def _check_distance(doc: dict, res: CheckResult) -> None:
         res.require(len(doc["inversions"]) == d, "inversion count differs from distance")
         _check_refuted(res, graph, diff, d - 1, "lower bound")
     oracle = doc.get("oracle")
-    if oracle is not None:
+    if oracle is not None and oracle.get("skipped") is not None:
+        res.require(
+            oracle["bfs_distance"] is None and oracle["agree"] is None,
+            "skipped oracle reports a result",
+        )
+        res.note(f"oracle skipped: {oracle['skipped']}")
+    elif oracle is not None:
         res.require(
             oracle["agree"] == (oracle["bfs_distance"] == d),
             "oracle agreement flag is inconsistent",

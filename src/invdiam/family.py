@@ -180,7 +180,7 @@ def probe_clique_independence(lg: LeveledGraph, f: Assignment) -> ProbeReport:
     """Check linear independence of the vectors on every clique that has
     been expanded at least once (level <= m-1)."""
     _check_probe_input(lg, f)
-    bits = f.bits()
+    bits = f.words
     checked = 0
     failures = []
     for clique in lg.cliques:
@@ -196,7 +196,7 @@ def probe_extension_dichotomy(lg: LeveledGraph, f: Assignment) -> ProbeReport:
     """For each twice-expanded clique and each immediate child, check that
     the child vector extends the clique independently or equals its sum."""
     _check_probe_input(lg, f)
-    bits = f.bits()
+    bits = f.words
     checked = 0
     failures = []
     for clique in lg.cliques:
@@ -245,7 +245,7 @@ def probe_bad_cliques(lg: LeveledGraph, f: Assignment) -> BadCliqueReport:
     """List every sub-clique C of a registered clique whose span V satisfies
     dim(V intersect V-perp) >= |C| - 1."""
     _check_probe_input(lg, f)
-    bits = f.bits()
+    bits = f.words
     subsets = set()
     for clique in lg.cliques:
         for p in range(1, len(clique.vertices) + 1):

@@ -1,12 +1,14 @@
+import functools
 import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invdiam.assignment import (
     Assignment,
+    _SolveContext,
     assignment_to_inversions,
     diameter_via_assignment,
     enumerate_assignments,
@@ -18,6 +20,7 @@ from invdiam.assignment import (
     verify,
 )
 from invdiam.errors import BudgetExceededError
+from invdiam.family import build_family
 from invdiam.gf2 import dot_bits
 from invdiam.graph import Graph, Label, Orientation, relabel, relabel_label
 from invdiam.inversion import bfs_all_distances, bfs_diameter, invert
@@ -320,6 +323,93 @@ class TestInversionDecomposition:
                 current = invert(current, xs)
             assert current == target
 
+    def test_corpus_n5(self, corpus_n5):
+        rng = random.Random(51)
+        for _, g in corpus_n5:
+            for _ in range(8):
+                lab = Label(g, rng.getrandbits(g.m))
+                _, found = least_dim(g, lab, g.m)
+                current = Orientation(g, 0)
+                for xs in assignment_to_inversions(found):
+                    current = invert(current, xs)
+                assert current.flips == lab.bits
+
+
+class TestAssignmentWords:
+    @pytest.mark.parametrize(
+        "t, words",
+        [
+            (1, [1]),  # wrong vector count
+            (1, [1, 2]),  # a word >= 2**t
+            (2, [0, -1]),
+            (33, [0, 0]),  # t beyond the widest supported vector
+        ],
+    )
+    def test_invalid_words(self, t, words):
+        with pytest.raises(ValueError):
+            Assignment.from_bits(k2(), t, words)
+
+    @pytest.mark.parametrize(
+        "strings", [["1", "10"], ["10", ""], ["1", "x"], ["01", "0 "], ["1_0", "100"]]
+    )
+    def test_invalid_strings(self, strings):
+        with pytest.raises(ValueError):
+            Assignment.from_strings(k2(), strings)
+
+    def test_string_round_trip(self):
+        rng = random.Random(50)
+        g = Graph(3, [(0, 1)])
+        for t in (0, 1, 5, 32):
+            words = [rng.getrandbits(t) for _ in range(3)]
+            a = Assignment.from_bits(g, t, words)
+            strings = a.to_strings()
+            assert all(len(s) == t for s in strings)
+            assert Assignment.from_strings(g, strings) == a
+        assert Assignment.from_strings(g, ["110", "000", "001"]).words == (0b011, 0, 0b100)
+
+
+def _reference_order(graph):
+    """The solver's vertex order by the plain quadratic rule: most neighbours
+    already placed first, ties to the lowest index."""
+    placed = []
+    in_prefix = [False] * graph.n
+    deg_into = [0] * graph.n
+    for _ in range(graph.n):
+        best = -1
+        for v in range(graph.n):
+            if not in_prefix[v] and (best < 0 or deg_into[v] > deg_into[best]):
+                best = v
+        placed.append(best)
+        in_prefix[best] = True
+        for w in graph.adjacency[best]:
+            deg_into[w] += 1
+    return placed
+
+
+@st.composite
+def graphs(draw):
+    """A random graph on at most 14 vertices, often with isolated vertices
+    and several components."""
+    n = draw(st.integers(0, 14))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
+    return Graph(n, edges)
+
+
+class TestVertexOrder:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(graphs())
+    @example(Graph(0, []))
+    @example(Graph(7, [(1, 2), (4, 5), (4, 6), (5, 6)]))
+    def test_matches_quadratic_rule(self, g):
+        assert _SolveContext(g).order == _reference_order(g)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("initial", [0, 1])
+    def test_family_stages(self, m, initial):
+        g = build_family(2, m, initial).graph
+        assert _SolveContext(g).order == _reference_order(g)
+
 
 @st.composite
 def labeled_graphs(draw):
@@ -366,3 +456,36 @@ class TestDriverProperties:
     def test_least_dim_exceeds(self):
         g, lab = c4_opposite()
         assert least_dim(g, lab, 1) == (None, None)
+
+    @_driver_settings
+    @given(labeled_graphs(), st.data())
+    def test_relabelling_invariance(self, case, data):
+        g, lab = case
+        perm = data.draw(st.permutations(range(g.n)))
+        g2 = relabel(g, perm)
+        lab2 = relabel_label(g, lab, perm)
+        assert min_dim(g, lab, g.m) == min_dim(g2, lab2, g.m)
+        assert least_dim(g, lab, g.m)[0] == least_dim(g2, lab2, g.m)[0]
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from([0, 1]))
+    def test_family_prefix_monotonicity(self, m, initial):
+        small = build_family(2, m, initial)
+        big = build_family(2, m + 1, initial)
+        assert _is_labelled_prefix(small.graph, small.label, big.graph, big.label)
+        assert _family_min_dim(m, initial) <= _family_min_dim(m + 1, initial)
+
+
+def _is_labelled_prefix(small, small_label, big, big_label):
+    """Whether big restricted to vertices 0..small.n-1 is small with its label."""
+    inside = [(e, uv) for e, uv in enumerate(big.edges) if uv[1] < small.n]
+    return [uv for _, uv in inside] == list(small.edges) and all(
+        big_label.bit(e) == small_label.bit(i) for i, (e, _) in enumerate(inside)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _family_min_dim(m, initial):
+    """min_dim of the k=2 family at stage m; treewidth 2 caps it at 4."""
+    lg = build_family(2, m, initial)
+    return min_dim(lg.graph, lg.label, 4)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,15 @@ from invdiam.assignment import assignment_to_inversions, min_dim, solve
 from invdiam.certificates import levels_to_text
 from invdiam.cli import main
 from invdiam.family import build_family
-from invdiam.graph import Label, parse_labeled_graph, serialize_labeled_graph
+from invdiam.graph import (
+    Label,
+    parse_labeled_graph,
+    parse_labeled_graphs,
+    serialize_labeled_graph,
+)
+from invdiam.inversion import DISTANCE_EDGE_BUDGET
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 K2_ONE = "2 1\n0 1 1\n"
 C4 = "4 4\n0 1 1\n1 2 0\n2 3 1\n0 3 0\n"  # opposite edges labeled
@@ -128,6 +137,43 @@ class TestDistance:
         )
         assert code == 0 and doc["distance"] == 2
         assert doc["oracle"] == {"bfs_distance": 2, "agree": True}
+
+    def test_oracle_skipped_beyond_bfs_budget(self, capsys, tmp_path):
+        # A 21-edge outer-planar fixture: one edge over the BFS budget.
+        fixture = FIXTURES / "outerplanar" / "outerplanar_n12.ilg"
+        graph, _ = parse_labeled_graphs(fixture.read_text())[0]
+        assert graph.m == DISTANCE_EDGE_BUDGET + 1
+        g = tmp_path / "g.ilg"
+        g.write_text(serialize_labeled_graph(graph, Label(graph, 0)) + "\n")
+        o1 = tmp_path / "o1.txt"
+        o2 = tmp_path / "o2.txt"
+        o1.write_text("0" * graph.m + "\n")
+        alternating = "".join("1" if e % 2 == 0 else "0" for e in range(graph.m))
+        o2.write_text(alternating + "\n")
+        cert = tmp_path / "cert.json"
+        code = main(
+            ["distance", str(g), str(o1), str(o2), "--oracle", "--out", str(cert), "--no-meta"]
+        )
+        assert code == 0
+        doc = json.loads(cert.read_text())
+        assert doc["distance"] == min_dim(graph, Label.from_string(graph, alternating), graph.m)
+        assert doc["oracle"] == {
+            "bfs_distance": None,
+            "agree": None,
+            "skipped": f"bfs_distance needs |E| <= {DISTANCE_EDGE_BUDGET}, got {graph.m}",
+        }
+        code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
+        assert code == 0 and check_doc["valid"], check_doc
+        assert "Traceback" not in capsys.readouterr().err
+        # A skipped oracle carries no result; a false or inconsistent one is rejected.
+        for oracle in (
+            dict(doc["oracle"], agree=False),
+            {"bfs_distance": doc["distance"] + 1, "agree": True},
+            {"bfs_distance": doc["distance"] + 1, "agree": False},
+        ):
+            cert.write_text(json.dumps(dict(doc, oracle=oracle)))
+            code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
+            assert code == 1 and not check_doc["valid"], oracle
 
 
 class TestDiameter:

@@ -127,7 +127,7 @@ class TestProbes:
         for f in found:
             report = probe_clique_independence(lg, f)
             assert report.passed and report.checked == 1
-            assert f.vectors[0].bits != 0
+            assert f.words[0] != 0
 
     def test_k2_m1_base_pair_independent(self):
         lg = build_family(2, 1)

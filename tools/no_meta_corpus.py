@@ -11,7 +11,9 @@ Corpus: each corpus_n5 and outer-planar fixture graph, relabelled 1010...,
 through `assign --t 1..4`, `mindim`, `distance --oracle` (all-zero to the
 alternating orientation) and, if m <= 12, `diameter --engine both`;
 `search-hard --budget 256` on each outer-planar file; `reduce --all` and the seven
-`reduce --mutate` controls; `family --k 2 --m 2` and `--m 3`.
+`reduce --mutate` controls; `family --k 2 --m 2` and `--m 3`; the stage-3
+k=2 family graph (n=366) written by `family --graph-out`, through
+`assign --t 3` (unsat), `assign --t 4` and `mindim`.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ def main_corpus(out_dir: Path) -> None:
         run(f"reduce-{mutation}", ["reduce", "--mutate", mutation])
     for m in (2, 3):
         run(f"family-k2-m{m}", ["family", "--k", "2", "--m", str(m)])
+    stage3 = "family-k2-m3-graph"
+    run(stage3, ["family", "--k", "2", "--m", "3", "--graph-out", f"{stage3}.ilg"])
+    for t in (3, 4):
+        run(f"{stage3}.assign{t}", ["assign", f"{stage3}.ilg", "--t", str(t)])
+    run(f"{stage3}.mindim", ["mindim", f"{stage3}.ilg"])
 
 
 if __name__ == "__main__":
