@@ -17,6 +17,7 @@ from .assignment import (
     solve,
     verify,
 )
+from .certificates import check_family
 from .errors import BudgetExceededError, InputFormatError, InvariantError
 from .family import (
     LeveledGraph,
@@ -27,7 +28,6 @@ from .family import (
     probe_clique_independence,
     probe_extension_dichotomy,
 )
-from .gf2 import Gf2Vector
 from .graph import (
     Graph,
     Label,
@@ -43,7 +43,6 @@ from .reducibility import (
     BoundaryFamily,
     ReducibilityConfiguration,
     builtin_configs,
-    check_family,
     check_reducible,
     enumerate_families,
     run_suite,

@@ -42,8 +42,7 @@ class Assignment:
         return list(self.words)
 
     def to_strings(self) -> List[str]:
-        t = self.t
-        return [format(w, f"0{t}b")[::-1] if t else "" for w in self.words]
+        return [gf2.word_to_text(w, self.t) for w in self.words]
 
     @classmethod
     def from_bits(cls, graph: Graph, t: int, bits: Sequence[int]) -> "Assignment":
@@ -55,9 +54,7 @@ class Assignment:
         for s in strings:
             if len(s) != t:
                 raise ValueError(f"vector {s!r} has length {len(s)}, expected {t}")
-            if not set(s) <= {"0", "1"}:
-                raise ValueError(f"invalid vector string {s!r}")
-        return cls(graph, t, tuple(int(s[::-1], 2) if t else 0 for s in strings))
+        return cls(graph, t, tuple(map(gf2.text_to_word, strings)))
 
 
 def verify(graph: Graph, label: Label, assignment: Assignment) -> bool:
@@ -360,12 +357,16 @@ def diameter_via_assignment(graph: Graph, t_max: int = gf2.MAX_DIM) -> DiameterR
 
 @dataclass(frozen=True)
 class HardestResult:
-    """Best label found; dim is None when it defeats every t <= t_max."""
+    """Best label found; dim is None when it defeats every t <= t_max.
+
+    witness is the first assignment at dim (all-zero words for dim 0),
+    None when dim is None."""
 
     label: Label
     dim: Optional[int]
     exhaustive: bool
     evaluations: int
+    witness: Optional[Assignment]
 
 
 def _score(dim: Optional[int]) -> int:
@@ -379,50 +380,49 @@ def hardest_label(
 
     Exhaustive when 2^|E| fits the budget, otherwise seeded hill-climbing
     over single-bit flips with sideways moves and restarts.  Deterministic
-    for a fixed seed; ties prefer the numerically least label word.
+    for a fixed seed; ties prefer the numerically least label word.  The
+    zero label is the starting best, and each evaluation's least dimension
+    comes with the witness its search found.
     """
     _check_t(t_max)
     m = graph.m
     budget = max(budget, 1)
-    if m == 0:
-        return HardestResult(Label(graph, 0), 0, True, 1)
-
+    ctx = _context(graph)
+    zeros = [0] * graph.n
     evaluated: Dict[int, Optional[int]] = {}
+    best_bits, best_dim, best_words = 0, 0, zeros
 
     def evaluate(bits: int) -> Optional[int]:
+        nonlocal best_bits, best_dim, best_words
         if bits not in evaluated:
-            evaluated[bits] = min_dim(graph, Label(graph, bits), t_max)
+            d, words = _least(ctx, bits, 1, t_max) if bits else (0, zeros)
+            evaluated[bits] = d
+            if _score(d) > _score(best_dim) or (
+                _score(d) == _score(best_dim) and bits < best_bits
+            ):
+                best_bits, best_dim, best_words = bits, d, words
         return evaluated[bits]
 
+    def result(exhaustive: bool) -> HardestResult:
+        witness = None if best_dim is None else Assignment.from_bits(graph, best_dim, best_words)
+        return HardestResult(
+            Label(graph, best_bits), best_dim, exhaustive, len(evaluated), witness
+        )
+
     if (1 << m) <= budget:
-        best_bits, best_dim = 0, evaluate(0)
-        for bits in range(1, 1 << m):
-            d = evaluate(bits)
-            if _score(d) > _score(best_dim):
-                best_bits, best_dim = bits, d
-        return HardestResult(Label(graph, best_bits), best_dim, True, len(evaluated))
+        for bits in range(1 << m):
+            evaluate(bits)
+        return result(True)
 
     rng = random.Random(seed)
-    best_bits = 0
-    best_dim: Optional[int] = 0
-
-    def consider(bits: int, d: Optional[int]) -> None:
-        nonlocal best_bits, best_dim
-        if _score(d) > _score(best_dim) or (
-            _score(d) == _score(best_dim) and bits < best_bits
-        ):
-            best_bits, best_dim = bits, d
-
     current = rng.getrandbits(m)
     current_dim = evaluate(current)
-    consider(current, current_dim)
     stall = 0
     attempts = 0
     while len(evaluated) < budget and attempts < 64 * budget:
         attempts += 1
         neighbor = current ^ (1 << rng.randrange(m))
         d = evaluate(neighbor)
-        consider(neighbor, d)
         if _score(d) >= _score(current_dim):
             improved = _score(d) > _score(current_dim)
             current, current_dim = neighbor, d
@@ -433,9 +433,8 @@ def hardest_label(
         if stall > 3 * m:
             current = rng.getrandbits(m)
             current_dim = evaluate(current)
-            consider(current, current_dim)
             stall = 0
-    return HardestResult(Label(graph, best_bits), best_dim, False, len(evaluated))
+    return result(False)
 
 
 def assignment_to_inversions(assignment: Assignment) -> List[List[int]]:

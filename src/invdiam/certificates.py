@@ -1,36 +1,47 @@
 """Building and re-validating the JSON certificates the CLI emits.
 
-Embedded witnesses (assignments, inversion sequences, counterexample
-families) are checked directly.  Claims that no t-dimensional assignment
+Every independent check lives here, and all of them that search run one
+domain-filtering search (`_search`) that shares no code with the solver or
+the reducibility scan.  Embedded witnesses (assignments, inversion
+sequences) are checked directly.  Claims that no t-dimensional assignment
 exists (unsat and exceeds verdicts, and the lower bound t-1 behind every
-least dimension, distance and diameter) are re-searched by `refute`,
-which shares no code with the solver, for t up to REFUTE_MAX_DIM; above
-that, or past REFUTE_NODE_CAP search nodes, they are accepted with an
-explanatory note.
+least dimension, distance and diameter) are re-searched by `refute` for t
+up to REFUTE_MAX_DIM; above that, or past REFUTE_NODE_CAP search nodes,
+they are accepted with an explanatory note.  Counterexample families are
+re-searched by `check_family`.  Diameters on at most DIAMETER_EDGE_BUDGET
+edges are re-derived by the engine that did not produce them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import reducibility
-from .assignment import Assignment, verify
+from .assignment import Assignment, diameter_via_assignment, verify
 from .errors import InputFormatError
 from .family import build_family, reconstruct_leveled
 from .family import probe_bad_cliques, probe_clique_independence, probe_extension_dichotomy
-from .gf2 import Gf2Vector, dot_bits
+from .gf2 import text_to_word, word_to_text
 from .graph import Graph, Label, Orientation, parse_labeled_graph, serialize_labeled_graph
-from .inversion import invert
+from .inversion import DIAMETER_EDGE_BUDGET, bfs_diameter, invert
 
 
 REFUTE_MAX_DIM = 8
 REFUTE_NODE_CAP = 1_000_000
 
 
-def refute(graph: Graph, label: Label, t: int) -> Optional[bool]:
-    """Complete domain-filtering search with no linear algebra; returns
-    True (no t-dimensional assignment), False (one exists), or None
-    (REFUTE_NODE_CAP nodes did not decide).
+class _Undecided(Exception):
+    pass
+
+
+def _search(
+    graph: Graph, label_bits: int, domains: Sequence[Sequence[int]], cap: Optional[int]
+) -> Optional[List[int]]:
+    """Complete domain-filtering search with no linear algebra: the first
+    assignment (words indexed by vertex) drawing each vertex's word from
+    its initial domain, or None if there is none.  Raises _Undecided past
+    cap search nodes (None: no cap).  Scalar products are computed inline,
+    so not even the gf2 kernel is shared with the solver.
 
     Vertices are placed by descending degree; placing one filters the
     domains of its later neighbours.  The search is iterative, with an
@@ -38,14 +49,19 @@ def refute(graph: Graph, label: Label, t: int) -> Optional[bool]:
     """
     n = graph.n
     if n == 0:
-        return False
+        return []
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
     rank = {v: i for i, v in enumerate(order)}
     later = [
-        [(w, label.bit(graph.edge_index(v, w))) for w in graph.adjacency[v] if rank[w] > i]
+        [
+            (w, (label_bits >> graph.edge_index(v, w)) & 1)
+            for w in graph.adjacency[v]
+            if rank[w] > i
+        ]
         for i, v in enumerate(order)
     ]
-    domains = [list(range(1 << t))] * n
+    domains = list(domains)
+    words = [0] * n
     stack = [(iter(domains[order[0]]), [])]
     nodes = 0
     while stack:
@@ -58,19 +74,50 @@ def refute(graph: Graph, label: Label, t: int) -> Optional[bool]:
             stack.pop()
             continue
         nodes += 1
-        if nodes > REFUTE_NODE_CAP:
-            return None
+        if cap is not None and nodes > cap:
+            raise _Undecided
         i = len(stack) - 1
+        words[order[i]] = value
         for w, bit in later[i]:
             undo.append((w, domains[w]))
-            domains[w] = [x for x in domains[w] if dot_bits(x, value) == bit]
+            domains[w] = [x for x in domains[w] if (x & value).bit_count() & 1 == bit]
             if not domains[w]:
                 break
         else:
             if i + 1 == n:
-                return False
+                return words
             stack.append((iter(domains[order[i + 1]]), []))
-    return True
+    return None
+
+
+def refute(graph: Graph, label: Label, t: int) -> Optional[bool]:
+    """Whether no t-dimensional assignment exists: True (none), False (one
+    exists), or None (REFUTE_NODE_CAP search nodes did not decide)."""
+    try:
+        return _search(graph, label.bits, [range(1 << t)] * graph.n, REFUTE_NODE_CAP) is None
+    except _Undecided:
+        return None
+
+
+def check_family(
+    cfg: reducibility.ReducibilityConfiguration,
+    labels: int,
+    fam: reducibility.BoundaryFamily,
+) -> Optional[Dict[int, int]]:
+    """Search for a witness assignment ({vertex: word}) with boundary
+    vectors drawn from the family's candidate sets; None means the family
+    is stuck.
+
+    Runs refute's search without a node cap, so it shares no code with the
+    scan's witness sets and never leaves a family undecided."""
+    if not cfg.admissible(labels):
+        raise ValueError("label completion violates the admissibility predicate")
+    cfg.validate_family(labels, fam)
+    domains: List[Sequence[int]] = [reducibility.ALL_VECTORS] * cfg.graph.n
+    for u, cset in zip(cfg.boundary, fam.candidates):
+        domains[u] = cset
+    words = _search(cfg.graph, labels, domains, None)
+    return None if words is None else dict(enumerate(words))
 
 
 def levels_to_text(levels) -> str:
@@ -100,23 +147,24 @@ def parse_levels_text(text: str, n: int) -> Tuple[int, ...]:
     return tuple(levels)
 
 
+def _texts(words) -> List[str]:
+    return [word_to_text(w, reducibility.DIM) for w in words]
+
+
+def _words(texts) -> Tuple[int, ...]:
+    return tuple(map(text_to_word, texts))
+
+
 def family_json(cfg_family: reducibility.BoundaryFamily) -> dict:
     return {
-        "candidates": [
-            [Gf2Vector(3, v).to_string() for v in cset]
-            for cset in cfg_family.candidates
-        ],
-        "designated": [Gf2Vector(3, v).to_string() for v in cfg_family.designated],
+        "candidates": [_texts(cset) for cset in cfg_family.candidates],
+        "designated": _texts(cfg_family.designated),
     }
 
 
 def family_from_json(doc: dict) -> reducibility.BoundaryFamily:
     return reducibility.BoundaryFamily(
-        tuple(
-            tuple(Gf2Vector.from_string(s).bits for s in cset)
-            for cset in doc["candidates"]
-        ),
-        tuple(Gf2Vector.from_string(s).bits for s in doc["designated"]),
+        tuple(map(_words, doc["candidates"])), _words(doc["designated"])
     )
 
 
@@ -135,10 +183,8 @@ def counterexample_json(
         inst = cex.choice_instance
         doc["choice_instance"] = {
             "t": inst["t"],
-            "multi_sets": [
-                [Gf2Vector(3, v).to_string() for v in s] for s in inst["multi_sets"]
-            ],
-            "singles": [Gf2Vector(3, v).to_string() for v in inst["singles"]],
+            "multi_sets": [_texts(s) for s in inst["multi_sets"]],
+            "singles": _texts(inst["singles"]),
         }
     return doc
 
@@ -236,8 +282,16 @@ def _check_distance(doc: dict, res: CheckResult) -> None:
 
 
 def _check_diameter(doc: dict, res: CheckResult) -> None:
+    """Both diameter kinds: the assignment part's hardest label is re-checked
+    like a least dimension, the top-level diameter must equal every part,
+    and for |E| <= DIAMETER_EDGE_BUDGET the value is re-derived by the
+    engine that did not produce it (a BFS value by diameter_via_assignment,
+    otherwise by bfs_diameter)."""
     graph, _ = _graph_and_label(doc)
-    assign_part = doc.get("assign")
+    if doc["kind"] == "bfs-diameter":
+        assign_part, bfs_part = None, {"diameter": doc["diameter"]}
+    else:
+        assign_part, bfs_part = doc.get("assign"), doc.get("bfs")
     if assign_part is not None:
         label = Label.from_string(graph, assign_part["hardest_label"])
         witness = _read_assignment(graph, assign_part["assignment"])
@@ -248,14 +302,24 @@ def _check_diameter(doc: dict, res: CheckResult) -> None:
             res.require(verify(graph, label, witness), "witness fails an edge equation")
         if assign_part["diameter"] > 0:
             _check_refuted(res, graph, label, assign_part["diameter"] - 1, "lower bound")
-    bfs_part = doc.get("bfs")
+    parts = [p["diameter"] for p in (assign_part, bfs_part) if p is not None]
+    if not parts:
+        res.fail("no engine result")
+        return
+    claimed = doc["diameter"]
+    res.require(all(d == claimed for d in parts), "diameter differs from an engine's result")
     if assign_part is not None and bfs_part is not None:
-        res.require(
-            doc.get("agree") == (assign_part["diameter"] == bfs_part["diameter"]),
-            "agreement flag is inconsistent",
-        )
-    if bfs_part is not None and assign_part is None:
-        res.note("bfs-only diameter accepted without re-search")
+        res.require(doc.get("agree") is True, "engines disagree")
+    if graph.m > DIAMETER_EDGE_BUDGET:
+        res.note(f"diameter accepted without re-derivation: |E| > {DIAMETER_EDGE_BUDGET}")
+    elif bfs_part is not None:
+        again = diameter_via_assignment(graph).diameter
+        if res.require(again == bfs_part["diameter"], f"assignment diameter is {again}"):
+            res.note("bfs diameter re-derived by the assignment engine")
+    else:
+        again = bfs_diameter(graph)
+        if res.require(again == assign_part["diameter"], f"bfs diameter is {again}"):
+            res.note("assignment diameter re-derived by bfs")
 
 
 def _check_family_cert(doc: dict, res: CheckResult) -> None:
@@ -311,7 +375,7 @@ def _check_reduce(doc: dict, res: CheckResult) -> None:
         if cex["stage"] == "main":
             fam = family_from_json(cex["family"])
             try:
-                witness = reducibility.check_family(cfg, labels, fam)
+                witness = check_family(cfg, labels, fam)
             except ValueError as exc:
                 res.fail(f"{row['name']}: counterexample family invalid: {exc}")
                 continue
@@ -320,11 +384,8 @@ def _check_reduce(doc: dict, res: CheckResult) -> None:
             )
         elif cex["stage"] == "choice":
             inst = cex["choice_instance"]
-            multi = [
-                tuple(Gf2Vector.from_string(s).bits for s in ms)
-                for ms in inst["multi_sets"]
-            ]
-            singles = [Gf2Vector.from_string(s).bits for s in inst["singles"]]
+            multi = [_words(ms) for ms in inst["multi_sets"]]
+            singles = _words(inst["singles"])
             feasible = reducibility.admits_choice(
                 len(cfg.boundary), inst["t"], multi[0], multi[1], singles
             )
@@ -363,7 +424,7 @@ _CHECKERS = {
     "assign": _check_assign_like,
     "mindim": _check_assign_like,
     "distance": _check_distance,
-    "bfs-diameter": lambda doc, res: res.note("bfs result accepted without re-search"),
+    "bfs-diameter": _check_diameter,
     "diameter": _check_diameter,
     "family": _check_family_cert,
     "probe": _check_probe_cert,
@@ -394,6 +455,7 @@ __all__ = [
     "family_from_json",
     "levels_to_text",
     "parse_levels_text",
+    "check_family",
     "refute",
     "CheckResult",
 ]

@@ -312,17 +312,12 @@ def cmd_search_hard(args) -> Tuple[dict, int]:
     entries = []
     for graph, _ in parse_labeled_graphs(text):
         result = hardest_label(graph, args.t_max, args.budget, args.seed)
-        witness = (
-            solve(graph, result.label, result.dim)
-            if result.dim is not None and result.dim > 0
-            else None
-        )
         entries.append(
             {
                 "graph": serialize_labeled_graph(graph, Label(graph, 0)),
                 "label": result.label.to_string(),
                 "min_dim": result.dim,
-                "assignment": _assignment_json(witness) if witness else None,
+                "assignment": _assignment_json(result.witness) if result.dim else None,
                 "exhaustive": result.exhaustive,
                 "evaluations": result.evaluations,
             }

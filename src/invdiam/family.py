@@ -68,13 +68,12 @@ def _normalize_initial_label(k: int, initial_label) -> int:
             raise ValueError("initial label must live on the complete graph K_k")
         return initial_label.bits
     if isinstance(initial_label, str):
-        if len(initial_label) != m0 or any(c not in "01" for c in initial_label):
-            raise ValueError(f"initial label must be {m0} bits, got {initial_label!r}")
-        bits = 0
-        for i, c in enumerate(initial_label):
-            if c == "1":
-                bits |= 1 << i
-        return bits
+        if len(initial_label) == m0:
+            try:
+                return gf2.text_to_word(initial_label)
+            except ValueError:
+                pass
+        raise ValueError(f"initial label must be {m0} bits, got {initial_label!r}")
     bits = int(initial_label)
     if not 0 <= bits < (1 << m0):
         raise ValueError(f"initial label word must fit {m0} edges")

@@ -7,52 +7,25 @@ Everything is immutable and pure; elimination always works on copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 MAX_DIM = 32
 
 
-@dataclass(frozen=True)
-class Gf2Vector:
-    """A vector in F2^dim packed into a single word."""
-
-    dim: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dim must be in 0..{MAX_DIM}, got {self.dim}")
-        if not 0 <= self.bits < (1 << self.dim):
-            raise ValueError(f"bits 0b{self.bits:b} has set bits at or above dim {self.dim}")
-
-    @classmethod
-    def from_string(cls, text: str) -> "Gf2Vector":
-        """Parse "0"/"1" characters, coordinate 0 first."""
-        if any(c not in "01" for c in text):
-            raise ValueError(f"invalid vector string {text!r}")
-        bits = 0
-        for i, c in enumerate(text):
-            if c == "1":
-                bits |= 1 << i
-        return cls(len(text), bits)
-
-    def to_string(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.dim))
-
-    def coordinate(self, i: int) -> int:
-        if not 0 <= i < self.dim:
-            raise IndexError(f"coordinate {i} out of range for dim {self.dim}")
-        return (self.bits >> i) & 1
-
-    def __str__(self) -> str:
-        return self.to_string()
+def word_to_text(word: int, dim: int) -> str:
+    """The text form of a word in F2^dim: "0"/"1" characters, coordinate 0
+    first."""
+    return format(word, f"0{dim}b")[::-1] if dim else ""
 
 
-# --- raw-word kernel -------------------------------------------------------
-#
-# The functions below operate on plain ints (bit i = coordinate i); solver
-# loops call them directly.
+def text_to_word(text: str) -> int:
+    """Parse the text form, coordinate 0 first; the empty string is 0.
+
+    Characters are checked first because int() also accepts "_", signs
+    and surrounding whitespace."""
+    if not set(text) <= {"0", "1"}:
+        raise ValueError(f"invalid vector string {text!r}")
+    return int(text[::-1], 2) if text else 0
 
 
 def dot_bits(a: int, b: int) -> int:
@@ -133,7 +106,8 @@ def affine_solutions_bits(particular: int, basis: Sequence[int]) -> List[int]:
 
 __all__ = [
     "MAX_DIM",
-    "Gf2Vector",
+    "word_to_text",
+    "text_to_word",
     "dot_bits",
     "rank_bits",
     "solve_bits",

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import InputFormatError
+from .gf2 import text_to_word, word_to_text
 
 
 class Graph:
@@ -82,6 +83,16 @@ def _check_bits(graph: Graph, bits: int) -> None:
         raise ValueError(f"bit word 0b{bits:b} does not fit {graph.m} edges")
 
 
+def _edge_word(graph: Graph, text: str, what: str) -> int:
+    """The word of a text with one 0/1 character per edge."""
+    if len(text) == graph.m:
+        try:
+            return text_to_word(text)
+        except ValueError:
+            pass
+    raise InputFormatError(f"{what} must be {graph.m} characters of 0/1, got {text!r}")
+
+
 @dataclass(frozen=True)
 class Label:
     """One bit per canonical edge index."""
@@ -96,19 +107,11 @@ class Label:
         return (self.bits >> e) & 1
 
     def to_string(self) -> str:
-        return "".join(str(self.bit(e)) for e in range(self.graph.m))
+        return word_to_text(self.bits, self.graph.m)
 
     @classmethod
     def from_string(cls, graph: Graph, text: str) -> "Label":
-        if len(text) != graph.m or any(c not in "01" for c in text):
-            raise InputFormatError(
-                f"label string must be {graph.m} characters of 0/1, got {text!r}"
-            )
-        bits = 0
-        for e, c in enumerate(text):
-            if c == "1":
-                bits |= 1 << e
-        return cls(graph, bits)
+        return cls(graph, _edge_word(graph, text, "label string"))
 
 
 @dataclass(frozen=True)
@@ -128,20 +131,11 @@ class Orientation:
         return (self.flips >> e) & 1
 
     def to_string(self) -> str:
-        return "".join(str(self.flip(e)) for e in range(self.graph.m))
+        return word_to_text(self.flips, self.graph.m)
 
     @classmethod
     def from_string(cls, graph: Graph, text: str) -> "Orientation":
-        text = text.strip()
-        if len(text) != graph.m or any(c not in "01" for c in text):
-            raise InputFormatError(
-                f"orientation must be {graph.m} characters of 0/1, got {text!r}"
-            )
-        flips = 0
-        for e, c in enumerate(text):
-            if c == "1":
-                flips |= 1 << e
-        return cls(graph, flips)
+        return cls(graph, _edge_word(graph, text.strip(), "orientation"))
 
     @classmethod
     def canonical(cls, graph: Graph) -> "Orientation":

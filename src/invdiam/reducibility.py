@@ -17,8 +17,11 @@ witness set (the boundary tuples that extend into H, found in one pass
 over H's assignments) and a per-vertex table of candidate sets with their
 designated-value options.  A candidate-set combination is stuck when its
 product misses the witness set; its families are counted from the table.
-`check_family`, a separate backtracking search, re-checks single families
-and so confirms every counterexample independently.
+
+This module only emits verdicts and holds no backtracking search.  Single
+families are re-checked by `certificates.check_family`, which runs the
+certificate checker's own search, so every counterexample is confirmed by
+code independent of the scan.
 """
 
 from __future__ import annotations
@@ -256,50 +259,7 @@ def enumerate_families(
             yield BoundaryFamily(csets, designated)
 
 
-# -- witness search ---------------------------------------------------------
-
-
-def check_family(
-    cfg: ReducibilityConfiguration, labels: int, fam: BoundaryFamily
-) -> Optional[Dict[int, int]]:
-    """Search for a witness assignment with boundary vectors drawn from the
-    family's candidate sets; None means the family is stuck.
-
-    A plain backtracking search over the whole graph, boundary first, that
-    shares no code with the scan's witness sets."""
-    if not cfg.admissible(labels):
-        raise ValueError("label completion violates the admissibility predicate")
-    cfg.validate_family(labels, fam)
-    graph = cfg.graph
-    order = list(cfg.boundary) + sorted(cfg.h_vertices)
-    domains: Dict[int, Sequence[int]] = {
-        u: fam.candidates[i] for i, u in enumerate(cfg.boundary)
-    }
-    for v in cfg.h_vertices:
-        domains[v] = ALL_VECTORS
-    chosen: Dict[int, int] = {}
-
-    def fits(v: int, word: int) -> bool:
-        for w in graph.adjacency[v]:
-            if w in chosen:
-                e = graph.edge_index(v, w)
-                if gf2.dot_bits(word, chosen[w]) != (labels >> e) & 1:
-                    return False
-        return True
-
-    def descend(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        v = order[pos]
-        for word in domains[v]:
-            if fits(v, word):
-                chosen[v] = word
-                if descend(pos + 1):
-                    return True
-                del chosen[v]
-        return False
-
-    return dict(chosen) if descend(0) else None
+# -- witness sets -----------------------------------------------------------
 
 
 def _witness_set(cfg: ReducibilityConfiguration, labels: int) -> Set[Tuple[int, ...]]:
@@ -777,7 +737,6 @@ __all__ = [
     "SuiteReport",
     "Mutation",
     "enumerate_families",
-    "check_family",
     "admits_choice",
     "check_reducible",
     "builtin_configs",

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from invdiam import gf2
-from invdiam.assignment import assignment_to_inversions, min_dim, solve
+from invdiam.assignment import assignment_to_inversions, hardest_label, min_dim, solve
 from invdiam.certificates import levels_to_text
 from invdiam.cli import main
 from invdiam.family import build_family
@@ -83,7 +83,8 @@ class TestMindim:
 
 
 class TestSingleSearch:
-    """mindim and distance take the dimension and the witness from one search."""
+    """mindim, distance and search-hard take the dimension and the witness
+    from one search."""
 
     @pytest.mark.parametrize("command", ["mindim", "distance"])
     def test_as_many_solves_as_min_dim(self, capsys, monkeypatch, tmp_path, c4_file, command):
@@ -109,6 +110,27 @@ class TestSingleSearch:
             code, doc = run_cli(capsys, "distance", c4_file, str(o1), str(o2), "--no-meta")
             assert code == 0 and doc["distance"] == 2
         assert calls[0] == expected > 0
+
+    def test_search_hard_solves_only_in_hardest_label(self, capsys, monkeypatch, tmp_path):
+        calls = [0]
+        solve_bits = gf2.solve_bits
+
+        def counted(*args):
+            calls[0] += 1
+            return solve_bits(*args)
+
+        monkeypatch.setattr(gf2, "solve_bits", counted)
+        text = (FIXTURES / "outerplanar" / "outerplanar_n8.ilg").read_text()
+        graph, _ = parse_labeled_graphs(text)[0]
+        result = hardest_label(graph, 4, 256)
+        assert result.dim > 0
+        expected, calls[0] = calls[0], 0
+        p = tmp_path / "graph.ilg"
+        p.write_text(serialize_labeled_graph(graph, Label(graph, 0)) + "\n")
+        code, doc = run_cli(capsys, "search-hard", str(p), "--budget", "256", "--no-meta")
+        assert code == 0 and doc["entries"][0]["min_dim"] == result.dim
+        assert calls[0] == expected > 0
+        assert doc["entries"][0]["assignment"] == result.witness.to_strings()
 
 
 class TestDistance:
@@ -515,6 +537,53 @@ class TestCheckCommand:
         doc = json.loads(out.out)
         assert code == 1 and not doc["valid"] and out.err == ""
         assert any(n.endswith("-dimensional assignment exists") for n in doc["notes"]), doc
+
+
+class TestDiameterClaims:
+    """check re-derives each diameter with the engine that did not produce
+    it; K4's diameter is 3."""
+
+    @pytest.mark.parametrize(
+        "argv, note",
+        [
+            (["bfs-diameter"], "bfs diameter re-derived by the assignment engine"),
+            (["diameter", "--engine", "bfs"], "bfs diameter re-derived by the assignment engine"),
+            (["diameter", "--engine", "both"], "bfs diameter re-derived by the assignment engine"),
+            (["diameter"], "assignment diameter re-derived by bfs"),
+        ],
+        ids=["bfs-diameter", "bfs", "both", "assign"],
+    )
+    def test_true_claims_re_derived(self, capsys, tmp_path, k4_file, argv, note):
+        cert = tmp_path / "cert.json"
+        assert main([argv[0], k4_file, *argv[1:], "--out", str(cert), "--no-meta"]) == 0
+        code, doc = run_cli(capsys, "check", str(cert), "--no-meta")
+        assert code == 0 and doc["valid"] and doc["notes"][-1] == note, doc
+
+    @pytest.mark.parametrize(
+        "argv, tamper",
+        [
+            (["bfs-diameter"], lambda doc: doc.update(diameter=7)),
+            (
+                ["diameter", "--engine", "both"],
+                lambda doc: (doc["bfs"].update(diameter=5), doc.update(agree=False, diameter=5)),
+            ),
+            (
+                ["diameter", "--engine", "bfs"],
+                lambda doc: (doc["bfs"].update(diameter=9), doc.update(diameter=9)),
+            ),
+        ],
+        ids=["bfs-diameter-7", "both-bfs-5-disagree", "bfs-only-9"],
+    )
+    def test_false_claims_rejected(self, capsys, tmp_path, k4_file, argv, tamper):
+        doc = _emitted(tmp_path, [argv[0], k4_file, *argv[1:]])
+        tamper(doc)
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        code = main(["check", str(cert), "--no-meta"])
+        out = capsys.readouterr()
+        check_doc = json.loads(out.out)
+        assert code == 1 and not check_doc["valid"] and out.err == "", check_doc
+        assert "FAIL: assignment diameter is 3" in check_doc["notes"]
 
 
 # Each argument error exits 2 with a JSON error document, and a distance

@@ -4,17 +4,18 @@ from itertools import product
 import pytest
 
 from invdiam.gf2 import (
-    Gf2Vector,
     affine_solutions_bits,
     dot_bits,
     rank_bits,
     solve_bits,
+    text_to_word,
+    word_to_text,
 )
 
 
 def v(s: str) -> int:
     """The word of a vector given coordinate 0 first, e.g. "110" -> 0b011."""
-    return Gf2Vector.from_string(s).bits
+    return text_to_word(s)
 
 
 def brute_solutions(rows, rhs, dim):
@@ -28,17 +29,25 @@ def brute_solutions(rows, rhs, dim):
 
 class TestVector:
     def test_string_round_trip(self):
-        assert Gf2Vector.from_string("110").to_string() == "110"
+        assert word_to_text(text_to_word("110"), 3) == "110"
         assert v("110") == 0b011  # coordinate 0 first
-        assert Gf2Vector.from_string("").dim == 0
+        assert text_to_word("") == 0 and word_to_text(0, 0) == ""
+
+    @pytest.mark.parametrize("dim", [0, 1, 3, 32])
+    def test_round_trip_widths(self, dim):
+        rng = random.Random(dim)
+        words = {0, (1 << dim) - 1, 1 if dim else 0} | {rng.getrandbits(dim) for _ in range(20)}
+        for word in words:
+            text = word_to_text(word, dim)
+            assert len(text) == dim and set(text) <= {"0", "1"}
+            assert text_to_word(text) == word
+            assert all(text[i] == str((word >> i) & 1) for i in range(dim))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Gf2Vector(2, 0b100)
-        with pytest.raises(ValueError):
-            Gf2Vector(33, 0)
-        with pytest.raises(ValueError):
-            Gf2Vector.from_string("01x")
+        # int(text, 2) alone would accept "1_0", "+1" and " 1".
+        for text in ["_", " ", "2", "1 0", "1_0", "01x", "+1", " 1"]:
+            with pytest.raises(ValueError):
+                text_to_word(text)
 
 
 class TestDot:

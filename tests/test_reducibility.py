@@ -4,6 +4,7 @@ from itertools import islice, product
 import pytest
 
 from invdiam.assignment import Assignment, verify
+from invdiam.certificates import check_family
 from invdiam.graph import Graph, Label
 from invdiam.reducibility import (
     BoundaryFamily,
@@ -12,7 +13,6 @@ from invdiam.reducibility import (
     apply_mutation,
     builtin_configs,
     builtin_mutations,
-    check_family,
     check_reducible,
     enumerate_families,
     run_suite,
