@@ -321,9 +321,19 @@ class DiameterResult:
 def diameter_via_assignment(graph: Graph, t_max: int = gf2.MAX_DIM) -> DiameterResult:
     """Max over all labels of min_dim, with a witnessing hardest label.
 
-    Labels are visited in Gray-code order and each search prefers the
-    previous witness's vectors, since adjacent labels tend to admit
-    nearby witnesses.  Ties go to the numerically least label word.
+    Labels are visited in Gray-code order, keeping `best` (the largest
+    min_dim so far) and one witness at dimension `best` for the current
+    label; lower-dimensional witnesses count, padded with zero coordinates.
+    Consecutive labels differ on one edge uv, so the witness is repaired by
+    re-solving u's vector against its neighbours' (then v's) under the new
+    label.  If neither endpoint absorbs the flip, a search at `best`
+    preferring the old witness takes over, and only if that fails does the
+    search climb from best + 1, which sets a new record.
+
+    Ties go to the numerically least label word: a label that fits in
+    `best` and undercuts the current hardest label replaces it when
+    best - 1 is refuted.  The witness is solve's for the hardest label at
+    the diameter (all-zero at t = 0 when there are no edges).
     """
     if graph.m > DIAMETER_LABEL_BUDGET:
         raise BudgetExceededError(
@@ -331,28 +341,41 @@ def diameter_via_assignment(graph: Graph, t_max: int = gf2.MAX_DIM) -> DiameterR
         )
     _check_t(t_max)
     ctx = _context(graph)
-    best = -1
+    solve_bits = gf2.solve_bits
+    incident = [
+        [(w, graph.edge_index(v, w)) for w in graph.adjacency[v]] for v in range(graph.n)
+    ]
+    best = 0
     best_label_bits = 0
-    best_witness: Optional[List[int]] = None
-    prev_witness: Optional[List[int]] = None
-    for i in range(1 << graph.m):
+    words = [0] * graph.n
+    for i in range(1, 1 << graph.m):
         bits = i ^ (i >> 1)
-        if bits == 0:
-            found_t, witness = 0, [0] * graph.n
-        else:
-            found_t, witness = _least(ctx, bits, 1, t_max, prefer=prev_witness)
-        if found_t is None:
-            raise BudgetExceededError(
-                f"label {bits:0{graph.m}b} exceeds t_max={t_max}"
+        for x in graph.edges[(i & -i).bit_length() - 1]:
+            sol = solve_bits(
+                [words[w] for w, _ in incident[x]],
+                [(bits >> e) & 1 for _, e in incident[x]],
+                best,
             )
-        prev_witness = witness
-        if found_t > best or (found_t == best and bits < best_label_bits):
-            best = found_t
+            if sol is not None:
+                words[x] = sol[0]
+                break
+        else:
+            found = next(ctx.search(bits, best, prefer=words), None)
+            if found is None:
+                found_t, found = _least(ctx, bits, best + 1, t_max, prefer=words)
+                if found_t is None:
+                    raise BudgetExceededError(
+                        f"label {bits:0{graph.m}b} exceeds t_max={t_max}"
+                    )
+                best, best_label_bits, words = found_t, bits, found
+                continue
+            words = found
+        if bits < best_label_bits and next(ctx.search(bits, best - 1), None) is None:
             best_label_bits = bits
-            best_witness = witness
-    assert best_witness is not None
+    _, witness = _least(ctx, best_label_bits, best, best)
+    assert witness is not None
     label = Label(graph, best_label_bits)
-    return DiameterResult(best, label, Assignment.from_bits(graph, best, best_witness))
+    return DiameterResult(best, label, Assignment.from_bits(graph, best, witness))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ least dimension, distance and diameter) are re-searched by `refute` for t
 up to REFUTE_MAX_DIM; above that, or past REFUTE_NODE_CAP search nodes,
 they are accepted with an explanatory note.  Counterexample families are
 re-searched by `check_family`.  Diameters on at most DIAMETER_EDGE_BUDGET
-edges are re-derived by the engine that did not produce them.
+edges are re-derived by the engine that did not produce them, and so are
+the label and min_dim of a search-hard entry whose labels all fit its
+budget, from all BFS distances.  A reduce document's suite_pass must match
+its row verdicts.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .family import build_family, reconstruct_leveled
 from .family import probe_bad_cliques, probe_clique_independence, probe_extension_dichotomy
 from .gf2 import text_to_word, word_to_text
 from .graph import Graph, Label, Orientation, parse_labeled_graph, serialize_labeled_graph
-from .inversion import DIAMETER_EDGE_BUDGET, bfs_diameter, invert
+from .inversion import DIAMETER_EDGE_BUDGET, bfs_all_distances, bfs_diameter, invert
 
 
 REFUTE_MAX_DIM = 8
@@ -357,6 +360,10 @@ def _check_probe_cert(doc: dict, res: CheckResult) -> None:
 
 def _check_reduce(doc: dict, res: CheckResult) -> None:
     configs = reducibility.builtin_configs()
+    res.require(
+        doc["suite_pass"] == all(row["verdict"] == "reducible" for row in doc["configs"]),
+        "suite_pass differs from the row verdicts",
+    )
     for row in doc["configs"]:
         cex = row.get("counterexample")
         if row["verdict"] == "reducible":
@@ -396,10 +403,39 @@ def _check_reduce(doc: dict, res: CheckResult) -> None:
             res.fail(f"{row['name']}: unknown counterexample stage {cex['stage']!r}")
 
 
+def _check_hardest_by_bfs(
+    res: CheckResult, i: int, graph: Graph, label: Label, claimed_dim, t_max: int
+) -> None:
+    """An exhaustive entry's label must be the least word at the maximal
+    distance D with min_dim D, or, when D > t_max, the least word beyond
+    t_max with a null min_dim."""
+    dist = bfs_all_distances(graph)
+    top = max(dist)
+    if top <= t_max:
+        want_bits, want_dim = dist.index(top), top
+    else:
+        want_bits, want_dim = next(w for w, d in enumerate(dist) if d > t_max), None
+    want = Label(graph, want_bits).to_string()
+    ok = res.require(label.bits == want_bits, f"entry {i}: the hardest label is {want}")
+    ok = res.require(claimed_dim == want_dim, f"entry {i}: min_dim should be {want_dim}") and ok
+    if ok:
+        res.note(f"entry {i}: hardest label re-derived by bfs")
+
+
 def _check_search_hard(doc: dict, res: CheckResult) -> None:
+    """Each entry's verdict is checked like a least dimension.  An entry is
+    exhaustive exactly when its 2^|E| labels fit the budget, and then, on at
+    most DIAMETER_EDGE_BUDGET edges, its label and min_dim are re-derived
+    from all BFS distances."""
     for i, entry in enumerate(doc["entries"]):
         graph, _ = parse_labeled_graph(entry["graph"])
         label = Label.from_string(graph, entry["label"])
+        res.require(
+            entry["exhaustive"] == ((1 << graph.m) <= max(doc["budget"], 1)),
+            f"entry {i}: exhaustive flag differs from the budget",
+        )
+        if entry["exhaustive"] and graph.m <= DIAMETER_EDGE_BUDGET:
+            _check_hardest_by_bfs(res, i, graph, label, entry["min_dim"], doc["t_max"])
         if entry["min_dim"] is None:
             claim = f"entry {i}: above-t_max verdict"
             if not _check_refuted(res, graph, label, doc["t_max"], claim):

@@ -8,7 +8,6 @@ search runs from the all-zero word.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from typing import Iterable, List, Tuple
 
@@ -17,6 +16,11 @@ from .graph import Graph, Label, Orientation
 
 DISTANCE_EDGE_BUDGET = 20
 DIAMETER_EDGE_BUDGET = 12
+# The alpha of Beamer, Asanovic & Patterson's direction-optimizing BFS
+# (SC 2012): a layer goes bottom-up once the frontier's outgoing edges exceed
+# 1/alpha of the unreached words' edges; they found alpha = 14 to work well.
+# Every word has the same number of moves, so edge counts reduce to word counts.
+BOTTOM_UP_ALPHA = 14
 
 
 def inversion_word(graph: Graph, x: Iterable[int]) -> int:
@@ -102,22 +106,47 @@ def inversion_moves(graph: Graph) -> Tuple[int, ...]:
 
 
 def _distances_from_zero(graph: Graph, target: "int | None" = None) -> List[int]:
-    """BFS over all 2^m flip words; dist -1 marks unreached (never expected)."""
-    m = graph.m
+    """BFS over all 2^m flip words; dist -1 marks unreached (never expected).
+
+    Direction-optimizing and layer-synchronous: a layer goes bottom-up (each
+    unreached word takes the first move back into the previous layer) when
+    BOTTOM_UP_ALPHA * |frontier| > unreached, and top-down otherwise.  With
+    a target the search stops once the target's distance is known, mid-layer
+    in a top-down step, so only dist[target] is meant to be read.
+    """
     moves = inversion_moves(graph)
-    dist = [-1] * (1 << m)
+    size = 1 << graph.m
+    dist = [-1] * size
     dist[0] = 0
-    frontier = deque([0])
-    while frontier:
-        state = frontier.popleft()
-        d = dist[state] + 1
-        for mv in moves:
-            nxt = state ^ mv
-            if dist[nxt] < 0:
-                dist[nxt] = d
-                if nxt == target:
-                    return dist
-                frontier.append(nxt)
+    frontier = [0]
+    unreached = size - 1
+    d = 0
+    while frontier and unreached:
+        d += 1
+        layer = []
+        if BOTTOM_UP_ALPHA * len(frontier) > unreached:
+            frontier.clear()  # only its size was needed; free it before the scan
+            prev = d - 1
+            for state in range(size):
+                if dist[state] < 0:
+                    for mv in moves:
+                        if dist[state ^ mv] == prev:
+                            dist[state] = d
+                            layer.append(state)
+                            break
+            if target is not None and dist[target] >= 0:
+                return dist
+        else:
+            for state in frontier:
+                for mv in moves:
+                    nxt = state ^ mv
+                    if dist[nxt] < 0:
+                        dist[nxt] = d
+                        if nxt == target:
+                            return dist
+                        layer.append(nxt)
+        unreached -= len(layer)
+        frontier = layer
     return dist
 
 

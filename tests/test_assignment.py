@@ -47,6 +47,16 @@ def c4_opposite():
     return g, Label(g, (1 << g.edge_index(0, 1)) | (1 << g.edge_index(2, 3)))
 
 
+@st.composite
+def graphs(draw, max_n=14, max_m=30):
+    """A random graph on at most max_n vertices and max_m edges, often with
+    isolated vertices and several components."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_m)) if pairs else []
+    return Graph(n, edges)
+
+
 def brute_force_sat(graph, label, t):
     """Independent oracle: try every assignment in (2^t)^n."""
     for words in product(range(1 << t), repeat=graph.n):
@@ -235,6 +245,20 @@ class TestDiameter:
             == diameter_via_assignment(relabel(g, perm), 4).diameter
         )
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(graphs(max_n=7, max_m=10))
+    @example(Graph(0, []))
+    @example(complete(5))
+    def test_matches_bfs_all_distances(self, g):
+        # The hardest label is the least word at the largest BFS distance,
+        # and the witness is solve's for it.
+        dist = bfs_all_distances(g)
+        result = diameter_via_assignment(g)
+        assert result.diameter == max(dist)
+        assert result.hardest_label.bits == dist.index(max(dist))
+        assert verify(g, result.hardest_label, result.witness)
+        assert result.witness == solve(g, result.hardest_label, result.diameter)
+
 
 class TestHardestLabel:
     def test_k4_exhaustive(self):
@@ -384,16 +408,6 @@ def _reference_order(graph):
         for w in graph.adjacency[best]:
             deg_into[w] += 1
     return placed
-
-
-@st.composite
-def graphs(draw):
-    """A random graph on at most 14 vertices, often with isolated vertices
-    and several components."""
-    n = draw(st.integers(0, 14))
-    pairs = list(combinations(range(n), 2))
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
-    return Graph(n, edges)
 
 
 class TestVertexOrder:

@@ -299,6 +299,16 @@ class TestReduce:
         code, check_doc = run_cli(capsys, "check", str(out), "--no-meta")
         assert code == 0 and check_doc["valid"]
 
+    def test_false_suite_pass_rejected(self, capsys, tmp_path):
+        out = tmp_path / "reduce.json"
+        assert main(["reduce", "--mutate", "p3-drop-min-size", "--out", str(out), "--no-meta"]) == 1
+        doc = json.loads(out.read_text())
+        doc["configs"][0].update(verdict="reducible", counterexample=None)
+        out.write_text(json.dumps(doc))
+        code, check_doc = run_cli(capsys, "check", str(out), "--no-meta")
+        assert code == 1 and not check_doc["valid"]
+        assert check_doc["notes"] == ["FAIL: suite_pass differs from the row verdicts"]
+
     def test_jobs_flag(self, capsys):
         code, doc = run_cli(capsys, "reduce", "--config", "P3", "--jobs", "2", "--no-meta")
         assert code == 0 and doc["suite_pass"]
@@ -473,12 +483,50 @@ class TestCheckCommand:
         assert code == 1 and not check_doc["valid"]
 
     def test_search_hard_certificate(self, capsys, tmp_path):
+        self._check_search_hard_k4(capsys, tmp_path, [])
+
+    def test_search_hard_certificate_beyond_t_max(self, capsys, tmp_path):
+        # K4's diameter is 3, so at --t-max 2 the hardest label's min_dim is null.
+        self._check_search_hard_k4(capsys, tmp_path, ["--t-max", "2"])
+
+    @staticmethod
+    def _check_search_hard_k4(capsys, tmp_path, extra):
         p = tmp_path / "graphs.ilg"
         p.write_text(K4)
         cert = tmp_path / "cert.json"
-        assert main(["search-hard", str(p), "--budget", "64", "--out", str(cert), "--no-meta"]) == 0
+        argv = ["search-hard", str(p), "--budget", "64", *extra, "--out", str(cert), "--no-meta"]
+        assert main(argv) == 0
         code, doc = run_cli(capsys, "check", str(cert), "--no-meta")
         assert code == 0 and doc["valid"]
+        assert doc["notes"][0] == "entry 0: hardest label re-derived by bfs"
+
+    @pytest.mark.parametrize(
+        "exhaustive, fails",
+        [
+            (True, ["FAIL: entry 0: the hardest label is 101100", "FAIL: entry 0: min_dim should be 3"]),
+            (False, ["FAIL: entry 0: exhaustive flag differs from the budget"]),
+        ],
+        ids=["exhaustive", "flag-cleared"],
+    )
+    def test_false_hardest_label_rejected(self, capsys, tmp_path, exhaustive, fails):
+        # One edge needs one dimension: the witness and the lower bound hold,
+        # but this is not K4's hardest label, and 2^6 labels fit budget 64.
+        p = tmp_path / "graphs.ilg"
+        p.write_text(K4)
+        doc = _emitted(tmp_path, ["search-hard", str(p), "--budget", "64"])
+        entry = doc["entries"][0]
+        graph, _ = parse_labeled_graph(entry["graph"])
+        entry.update(
+            label="100000",
+            min_dim=1,
+            assignment=solve(graph, Label.from_string(graph, "100000"), 1).to_strings(),
+            exhaustive=exhaustive,
+        )
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
+        assert code == 1 and not check_doc["valid"]
+        assert [n for n in check_doc["notes"] if n.startswith("FAIL")] == fails
 
     @pytest.mark.parametrize(
         "tamper",

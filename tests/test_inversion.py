@@ -1,11 +1,15 @@
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from invdiam.errors import BudgetExceededError
 from invdiam.graph import Graph, Orientation
 from invdiam.inversion import (
+    _distances_from_zero,
     bfs_all_distances,
     bfs_diameter,
     bfs_distance,
@@ -191,3 +195,45 @@ class TestDiameter:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             bfs_diameter(path(14))  # 13 edges
+
+
+def deque_distances(graph):
+    """Plain top-down BFS from the all-zero word over a queue."""
+    moves = inversion_moves(graph)
+    dist = [-1] * (1 << graph.m)
+    dist[0] = 0
+    queue = deque([0])
+    while queue:
+        state = queue.popleft()
+        for mv in moves:
+            if dist[state ^ mv] < 0:
+                dist[state ^ mv] = dist[state] + 1
+                queue.append(state ^ mv)
+    return dist
+
+
+@st.composite
+def graphs_with_word(draw):
+    """A random graph with at most 14 edges, and one of its flip words."""
+    n = draw(st.integers(1, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
+    g = Graph(n, edges)
+    return g, draw(st.integers(0, (1 << g.m) - 1))
+
+
+class TestDirectionOptimizing:
+    """Bottom-up layers run whenever the frontier outgrows the unreached
+    words by the alpha rule (from the first layer on K2, in the last
+    layers of the larger graphs); the distances are those of a queue BFS."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(graphs_with_word())
+    @example((Graph(2, [(0, 1)]), 1))
+    @example((complete(6), 0b101010101010101))
+    def test_matches_queue_bfs(self, case):
+        g, word = case
+        dist = deque_distances(g)
+        assert _distances_from_zero(g) == dist
+        assert bfs_distance(g, Orientation(g, 0), Orientation(g, word)) == dist[word]
+
