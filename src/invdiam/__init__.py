@@ -32,9 +32,6 @@ from .graph import (
     Graph,
     Label,
     Orientation,
-    boundary,
-    is_independent_set,
-    max_degree,
     parse_labeled_graph,
     serialize_labeled_graph,
 )

@@ -318,39 +318,45 @@ class DiameterResult:
     witness: Assignment
 
 
-def diameter_via_assignment(graph: Graph, t_max: int = gf2.MAX_DIM) -> DiameterResult:
-    """Max over all labels of min_dim, with a witnessing hardest label.
+def _walk_labels(ctx: _SolveContext, t_max: int) -> Tuple[Optional[int], int]:
+    """The largest min_dim over all labels and the least label word at it;
+    (None, w) when some label needs more than t_max, w the least such word.
 
     Labels are visited in Gray-code order, keeping `best` (the largest
-    min_dim so far) and one witness at dimension `best` for the current
-    label; lower-dimensional witnesses count, padded with zero coordinates.
-    Consecutive labels differ on one edge uv, so the witness is repaired by
+    min_dim so far) and `words`, a witness at dimension `best` for label
+    `words_bits`; lower-dimensional witnesses count, padded with zero
+    coordinates.  When `words_bits` is the previous label, the new one
+    differs from it on one edge uv, and the witness is repaired by
     re-solving u's vector against its neighbours' (then v's) under the new
-    label.  If neither endpoint absorbs the flip, a search at `best`
-    preferring the old witness takes over, and only if that fails does the
-    search climb from best + 1, which sets a new record.
+    label.  Otherwise, or if neither endpoint absorbs the flip, a search at
+    `best` preferring the old witness takes over, and only if that fails
+    does the search climb from best + 1, which sets a new record.
 
     Ties go to the numerically least label word: a label that fits in
     `best` and undercuts the current hardest label replaces it when
-    best - 1 is refuted.  The witness is solve's for the hardest label at
-    the diameter (all-zero at t = 0 when there are no edges).
+    best - 1 is refuted.  A label that needs more than t_max becomes
+    `over` and `best` becomes t_max; from then on only a smaller word can
+    change the answer, so every word above `over` is skipped and ties are
+    no longer checked.
     """
-    if graph.m > DIAMETER_LABEL_BUDGET:
-        raise BudgetExceededError(
-            f"diameter_via_assignment needs |E| <= {DIAMETER_LABEL_BUDGET}, got {graph.m}"
-        )
-    _check_t(t_max)
-    ctx = _context(graph)
+    graph = ctx.graph
     solve_bits = gf2.solve_bits
     incident = [
         [(w, graph.edge_index(v, w)) for w in graph.adjacency[v]] for v in range(graph.n)
     ]
     best = 0
     best_label_bits = 0
+    over: Optional[int] = None
     words = [0] * graph.n
+    words_bits = 0
     for i in range(1, 1 << graph.m):
         bits = i ^ (i >> 1)
-        for x in graph.edges[(i & -i).bit_length() - 1]:
+        if over is not None and bits > over:
+            continue
+        edge = (i & -i).bit_length() - 1
+        # Repair only a witness of the previous label; a skipped label or one
+        # beyond t_max leaves an older one.
+        for x in graph.edges[edge] if words_bits == bits ^ (1 << edge) else ():
             sol = solve_bits(
                 [words[w] for w, _ in incident[x]],
                 [(bits >> e) & 1 for _, e in incident[x]],
@@ -364,17 +370,42 @@ def diameter_via_assignment(graph: Graph, t_max: int = gf2.MAX_DIM) -> DiameterR
             if found is None:
                 found_t, found = _least(ctx, bits, best + 1, t_max, prefer=words)
                 if found_t is None:
-                    raise BudgetExceededError(
-                        f"label {bits:0{graph.m}b} exceeds t_max={t_max}"
-                    )
-                best, best_label_bits, words = found_t, bits, found
+                    over, best = bits, t_max
+                    continue
+                best, best_label_bits, words, words_bits = found_t, bits, found, bits
                 continue
             words = found
-        if bits < best_label_bits and next(ctx.search(bits, best - 1), None) is None:
+        words_bits = bits
+        if (
+            over is None
+            and bits < best_label_bits
+            and next(ctx.search(bits, best - 1), None) is None
+        ):
             best_label_bits = bits
-    _, witness = _least(ctx, best_label_bits, best, best)
+    return (best, best_label_bits) if over is None else (None, over)
+
+
+def diameter_via_assignment(graph: Graph, t_max: int = gf2.MAX_DIM) -> DiameterResult:
+    """Max over all labels of min_dim, with a witnessing hardest label.
+
+    The hardest label is the numerically least label word at the diameter
+    (found by `_walk_labels`), and the witness is solve's for it at the
+    diameter (all-zero at t = 0 when there are no edges).  Raises
+    BudgetExceededError naming the least label word that needs more than
+    t_max, if there is one.
+    """
+    if graph.m > DIAMETER_LABEL_BUDGET:
+        raise BudgetExceededError(
+            f"diameter_via_assignment needs |E| <= {DIAMETER_LABEL_BUDGET}, got {graph.m}"
+        )
+    _check_t(t_max)
+    ctx = _context(graph)
+    best, bits = _walk_labels(ctx, t_max)
+    label = Label(graph, bits)
+    if best is None:
+        raise BudgetExceededError(f"label {label.to_string()} exceeds t_max={t_max}")
+    _, witness = _least(ctx, bits, best, best)
     assert witness is not None
-    label = Label(graph, best_label_bits)
     return DiameterResult(best, label, Assignment.from_bits(graph, best, witness))
 
 
@@ -401,16 +432,26 @@ def hardest_label(
 ) -> HardestResult:
     """Search label space for a label maximizing min_dim.
 
-    Exhaustive when 2^|E| fits the budget, otherwise seeded hill-climbing
-    over single-bit flips with sideways moves and restarts.  Deterministic
-    for a fixed seed; ties prefer the numerically least label word.  The
-    zero label is the starting best, and each evaluation's least dimension
-    comes with the witness its search found.
+    Exhaustive when 2^|E| fits the budget: the Gray-code walk of
+    diameter_via_assignment over all labels, counted as 2^|E| evaluations,
+    whose label is the least word at the largest min_dim, or the least word
+    that needs more than t_max (dim None).  Otherwise seeded hill-climbing
+    over single-bit flips with sideways moves and restarts, with the zero
+    label as the starting best.  Deterministic for a fixed seed; ties
+    prefer the numerically least label word.  The witness is solve's for
+    the label at dim.
     """
     _check_t(t_max)
     m = graph.m
     budget = max(budget, 1)
     ctx = _context(graph)
+    if (1 << m) <= budget:
+        dim, bits = _walk_labels(ctx, t_max)
+        witness = None
+        if dim is not None:
+            witness = Assignment.from_bits(graph, dim, _least(ctx, bits, dim, dim)[1])
+        return HardestResult(Label(graph, bits), dim, True, 1 << m, witness)
+
     zeros = [0] * graph.n
     evaluated: Dict[int, Optional[int]] = {}
     best_bits, best_dim, best_words = 0, 0, zeros
@@ -425,17 +466,6 @@ def hardest_label(
             ):
                 best_bits, best_dim, best_words = bits, d, words
         return evaluated[bits]
-
-    def result(exhaustive: bool) -> HardestResult:
-        witness = None if best_dim is None else Assignment.from_bits(graph, best_dim, best_words)
-        return HardestResult(
-            Label(graph, best_bits), best_dim, exhaustive, len(evaluated), witness
-        )
-
-    if (1 << m) <= budget:
-        for bits in range(1 << m):
-            evaluate(bits)
-        return result(True)
 
     rng = random.Random(seed)
     current = rng.getrandbits(m)
@@ -457,7 +487,8 @@ def hardest_label(
             current = rng.getrandbits(m)
             current_dim = evaluate(current)
             stall = 0
-    return result(False)
+    witness = None if best_dim is None else Assignment.from_bits(graph, best_dim, best_words)
+    return HardestResult(Label(graph, best_bits), best_dim, False, len(evaluated), witness)
 
 
 def assignment_to_inversions(assignment: Assignment) -> List[List[int]]:

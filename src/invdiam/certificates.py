@@ -217,10 +217,6 @@ def _graph_and_label(doc: dict) -> Tuple[Graph, Label]:
     return graph, file_label
 
 
-def _read_assignment(graph: Graph, strings) -> Assignment:
-    return Assignment.from_strings(graph, list(strings))
-
-
 def _check_refuted(res: CheckResult, graph: Graph, label: Label, t: int, claim: str) -> bool:
     """Re-search the claim that no t-dimensional assignment exists; False
     when the claim was left undecided."""
@@ -236,7 +232,7 @@ def _check_assign_like(doc: dict, res: CheckResult) -> None:
     graph, label = _graph_and_label(doc)
     verdict = doc["verdict"]
     if verdict == "sat":
-        assignment = _read_assignment(graph, doc["assignment"])
+        assignment = Assignment.from_strings(graph, doc["assignment"])
         if res.require(assignment.t == doc["t"], "witness dimension differs from t"):
             res.require(verify(graph, label, assignment), "witness fails an edge equation")
         if doc["kind"] == "mindim" and doc["t"] > 0:
@@ -260,7 +256,7 @@ def _check_distance(doc: dict, res: CheckResult) -> None:
     if d == 0:
         res.require(diff.bits == 0, "zero distance with differing orientations")
     else:
-        assignment = _read_assignment(graph, doc["assignment"])
+        assignment = Assignment.from_strings(graph, doc["assignment"])
         if res.require(assignment.t == d, "witness dimension differs from distance"):
             res.require(verify(graph, diff, assignment), "witness fails an edge equation")
         current = o1
@@ -297,7 +293,7 @@ def _check_diameter(doc: dict, res: CheckResult) -> None:
         assign_part, bfs_part = doc.get("assign"), doc.get("bfs")
     if assign_part is not None:
         label = Label.from_string(graph, assign_part["hardest_label"])
-        witness = _read_assignment(graph, assign_part["assignment"])
+        witness = Assignment.from_strings(graph, assign_part["assignment"])
         if res.require(
             witness.t == assign_part["diameter"],
             "witness dimension differs from diameter",
@@ -338,7 +334,7 @@ def _check_probe_cert(doc: dict, res: CheckResult) -> None:
     graph, label = _graph_and_label(doc)
     levels = parse_levels_text(doc["levels"], graph.n)
     lg = reconstruct_leveled(graph, label, levels, doc["k"])
-    assignment = _read_assignment(graph, doc["assignment"])
+    assignment = Assignment.from_strings(graph, doc["assignment"])
     ind = probe_clique_independence(lg, assignment)
     dich = probe_extension_dichotomy(lg, assignment)
     bad = probe_bad_cliques(lg, assignment)
@@ -444,7 +440,7 @@ def _check_search_hard(doc: dict, res: CheckResult) -> None:
         if entry["min_dim"] == 0:
             res.require(label.bits == 0, f"entry {i}: nonzero label with min_dim 0")
             continue
-        assignment = _read_assignment(graph, entry["assignment"])
+        assignment = Assignment.from_strings(graph, entry["assignment"])
         if res.require(
             assignment.t == entry["min_dim"],
             f"entry {i}: witness dimension differs from min_dim",

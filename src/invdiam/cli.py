@@ -64,10 +64,6 @@ def _load_graph(path: str):
     return parse_labeled_graph(_read(path))
 
 
-def _assignment_json(assignment) -> List[str]:
-    return assignment.to_strings()
-
-
 def _dimension(value: int, flag: str) -> int:
     if not 0 <= value <= gf2.MAX_DIM:
         raise InputFormatError(f"{flag} must be in 0..{gf2.MAX_DIM}, got {value}")
@@ -89,7 +85,7 @@ def cmd_assign(args) -> Tuple[dict, int]:
         "graph": serialize_labeled_graph(graph, label),
         "label": label.to_string(),
         "t": args.t,
-        "assignment": _assignment_json(found) if found else None,
+        "assignment": found.to_strings() if found else None,
         "verdict": "sat" if found else "unsat",
     }, EXIT_OK
 
@@ -104,7 +100,7 @@ def cmd_mindim(args) -> Tuple[dict, int]:
         "label": label.to_string(),
         "t": d if d is not None else t_max,
         "t_max": t_max,
-        "assignment": _assignment_json(witness) if witness else None,
+        "assignment": witness.to_strings() if witness else None,
         "verdict": "sat" if d is not None else "exceeds",
     }, EXIT_OK
 
@@ -125,7 +121,7 @@ def cmd_distance(args) -> Tuple[dict, int]:
         "orientation2": o2.to_string(),
         "label": diff.to_string(),
         "distance": d,
-        "assignment": _assignment_json(witness) if d > 0 else None,
+        "assignment": witness.to_strings() if d > 0 else None,
         "inversions": assignment_to_inversions(witness) if d > 0 else [],
         "oracle": None,
     }
@@ -164,7 +160,7 @@ def cmd_diameter(args) -> Tuple[dict, int]:
         doc["assign"] = {
             "diameter": result.diameter,
             "hardest_label": result.hardest_label.to_string(),
-            "assignment": _assignment_json(result.witness),
+            "assignment": result.witness.to_strings(),
         }
         doc["diameter"] = result.diameter
     if args.engine in ("bfs", "both"):
@@ -317,7 +313,7 @@ def cmd_search_hard(args) -> Tuple[dict, int]:
                 "graph": serialize_labeled_graph(graph, Label(graph, 0)),
                 "label": result.label.to_string(),
                 "min_dim": result.dim,
-                "assignment": _assignment_json(result.witness) if result.dim else None,
+                "assignment": result.witness.to_strings() if result.dim else None,
                 "exhaustive": result.exhaustive,
                 "evaluations": result.evaluations,
             }

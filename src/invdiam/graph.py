@@ -127,19 +127,12 @@ class Orientation:
     def __post_init__(self) -> None:
         _check_bits(self.graph, self.flips)
 
-    def flip(self, e: int) -> int:
-        return (self.flips >> e) & 1
-
     def to_string(self) -> str:
         return word_to_text(self.flips, self.graph.m)
 
     @classmethod
     def from_string(cls, graph: Graph, text: str) -> "Orientation":
         return cls(graph, _edge_word(graph, text.strip(), "orientation"))
-
-    @classmethod
-    def canonical(cls, graph: Graph) -> "Orientation":
-        return cls(graph, 0)
 
 
 def parse_labeled_graph(text: str) -> Tuple[Graph, Label]:
@@ -204,30 +197,6 @@ def parse_labeled_graphs(text: str) -> List[Tuple[Graph, Label]]:
     return [parse_labeled_graph("\n".join(b)) for b in blocks if b]
 
 
-def boundary(graph: Graph, h: Iterable[int]) -> FrozenSet[int]:
-    """Vertices outside h with at least one neighbor in h."""
-    hset = frozenset(h)
-    for v in hset:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex {v} out of range")
-    out = set()
-    for v in hset:
-        out |= graph.adjacency[v]
-    return frozenset(out - hset)
-
-
-def is_independent_set(graph: Graph, s: Iterable[int]) -> bool:
-    sset = frozenset(s)
-    for v in sset:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex {v} out of range")
-    return all(not (graph.adjacency[v] & sset) for v in sset)
-
-
-def max_degree(graph: Graph) -> int:
-    return max((graph.degree(v) for v in range(graph.n)), default=0)
-
-
 def relabel(graph: Graph, perm: Sequence[int]) -> Graph:
     """Apply a vertex permutation and re-canonicalize."""
     return Graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges])
@@ -249,9 +218,6 @@ __all__ = [
     "parse_labeled_graph",
     "serialize_labeled_graph",
     "parse_labeled_graphs",
-    "boundary",
-    "is_independent_set",
-    "max_degree",
     "relabel",
     "relabel_label",
 ]

@@ -147,17 +147,11 @@ class ReducibilityConfiguration:
 
     # -- families ----------------------------------------------------------
 
-    def vector_universe(self, i: int, labels: int) -> Tuple[int, ...]:
-        rule = self.rules[i]
-        if rule.excludes_zero(labels):
-            return NONZERO_VECTORS
-        return ALL_VECTORS
-
     def candidate_sets(self, i: int, labels: int) -> List[Tuple[int, ...]]:
         """Minimum-cardinality candidate sets for boundary vertex i, in
         lexicographic order."""
         rule = self.rules[i]
-        universe = self.vector_universe(i, labels)
+        universe = NONZERO_VECTORS if rule.excludes_zero(labels) else ALL_VECTORS
         forced: Tuple[int, ...] = (0,) if rule.include_zero else ()
         if forced and 0 not in universe:
             return []

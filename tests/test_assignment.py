@@ -251,13 +251,28 @@ class TestDiameter:
     @example(complete(5))
     def test_matches_bfs_all_distances(self, g):
         # The hardest label is the least word at the largest BFS distance,
-        # and the witness is solve's for it.
+        # and the witness is solve's for it.  Below that distance, exhaustive
+        # hardest_label names the least word beyond t_max and the diameter
+        # raises naming the same label.
         dist = bfs_all_distances(g)
+        top = max(dist)
         result = diameter_via_assignment(g)
-        assert result.diameter == max(dist)
-        assert result.hardest_label.bits == dist.index(max(dist))
+        assert result.diameter == top
+        assert result.hardest_label.bits == dist.index(top)
         assert verify(g, result.hardest_label, result.witness)
         assert result.witness == solve(g, result.hardest_label, result.diameter)
+        for t_max in range(1, 5):
+            hard = hardest_label(g, t_max, 1 << g.m)
+            assert hard.exhaustive and hard.evaluations == 2**g.m
+            if top <= t_max:
+                assert hard.label.bits == dist.index(top) and hard.dim == top
+                assert hard.witness == solve(g, hard.label, top)
+            else:
+                assert hard.label.bits == next(w for w, d in enumerate(dist) if d > t_max)
+                assert hard.dim is None and hard.witness is None
+                message = f"label {hard.label.to_string()} exceeds"
+                with pytest.raises(BudgetExceededError, match=message):
+                    diameter_via_assignment(g, t_max)
 
 
 class TestHardestLabel:

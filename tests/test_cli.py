@@ -669,6 +669,7 @@ _ERROR_CASES = {
     "distance-exceeds-t-max": (
         ["distance", "{c4}", "{o1}", "{o2}", "--t-max", "1"], 3, "budget"
     ),
+    "diameter-exceeds-t-max": (["diameter", "{c4}", "--t-max", "1"], 3, "budget"),
 }
 
 

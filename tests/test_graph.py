@@ -8,9 +8,6 @@ from invdiam.graph import (
     Graph,
     Label,
     Orientation,
-    boundary,
-    is_independent_set,
-    max_degree,
     parse_labeled_graph,
     parse_labeled_graphs,
     relabel,
@@ -129,35 +126,6 @@ class TestGraph:
         assert o.to_string() == "10"
         with pytest.raises(InputFormatError):
             Orientation.from_string(g, "101")
-
-
-class TestBoundary:
-    def test_examples(self):
-        assert boundary(Graph(2, [(0, 1)]), {0}) == {1}
-        assert boundary(path(3), {1}) == {0, 2}
-        assert boundary(cycle(4), {0, 1}) == {2, 3}
-
-    def test_disjoint_from_h(self):
-        rng = random.Random(5)
-        for _ in range(30):
-            g = random_graph(rng, 8)
-            h = {v for v in range(8) if rng.random() < 0.4}
-            assert not (boundary(g, h) & h)
-
-
-class TestIndependentSet:
-    def test_examples(self):
-        g = cycle(4)
-        assert is_independent_set(g, {2})
-        assert not is_independent_set(g, {0, 1})
-        assert is_independent_set(g, {0, 2})
-
-
-class TestMaxDegree:
-    def test_examples(self):
-        assert max_degree(complete(4)) == 3
-        assert max_degree(path(3)) == 2
-        assert max_degree(Graph(5, [])) == 0
 
 
 class TestRelabel:

@@ -10,8 +10,9 @@ checkouts with `diff -r` on their directories:
 Corpus: each corpus_n5 and outer-planar fixture graph, relabelled 1010...,
 through `assign --t 1..4`, `mindim`, `distance --oracle` (all-zero to the
 alternating orientation) and, if m <= 12, `diameter --engine both` and
-`bfs-diameter`; `search-hard --budget 256` on each outer-planar file;
-`reduce --all` and the seven `reduce --mutate` controls; `family --k 2 --m 2` and `--m 3`; the stage-3
+`bfs-diameter`; `search-hard --budget 256` and `search-hard --t-max 1
+--budget 512` on each outer-planar file; `reduce --all` and the seven
+`reduce --mutate` controls; `family --k 2 --m 2` and `--m 3`; the stage-3
 k=2 family graph (n=366) written by `family --graph-out`, through
 `assign --t 3` (unsat), `assign --t 4` and `mindim`.
 """
@@ -71,6 +72,10 @@ def main_corpus(out_dir: Path) -> None:
             run(f"{name}.bfs-diameter", ["bfs-diameter", f"{name}.ilg"])
     for path in sorted((FIXTURES / "outerplanar").glob("*.ilg")):
         run(f"{path.stem}.search-hard", ["search-hard", str(path), "--budget", "256"])
+        run(
+            f"{path.stem}.search-hard-t1",
+            ["search-hard", str(path), "--t-max", "1", "--budget", "512"],
+        )
     run("reduce-all", ["reduce", "--all"])
     for mutation in sorted(builtin_mutations()):
         run(f"reduce-{mutation}", ["reduce", "--mutate", mutation])
