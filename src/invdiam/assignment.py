@@ -86,6 +86,11 @@ class _SolveContext:
     hold an unplaced vertex at its current count, and an entry whose vertex
     has since reached a higher count is dropped when it surfaces.  A placed
     vertex stops counting, so its entries left in lower buckets are stale.
+
+    `forward[p]` lists, for the vertex at position p, its (later position,
+    edge index) pairs in ascending order: the equations a placement at p
+    adds to later systems.  The context holds no search state, so searches
+    on it may be abandoned or interleaved.
     """
 
     def __init__(self, graph: Graph):
@@ -118,21 +123,14 @@ class _SolveContext:
                     top = c
         self.order = placed
         pos_of = {v: p for p, v in enumerate(placed)}
-        # For each position: (earlier position, edge index) per placed
-        # neighbor, and the positions of later neighbors (for forward checks).
-        self.back_edges: List[List[Tuple[int, int]]] = []
-        self.forward_positions: List[List[int]] = []
-        for p, v in enumerate(placed):
-            links = []
-            ahead = []
-            for w in graph.adjacency[v]:
-                q = pos_of[w]
-                if q < p:
-                    links.append((q, graph.edge_index(v, w)))
-                else:
-                    ahead.append(q)
-            self.back_edges.append(links)
-            self.forward_positions.append(sorted(ahead))
+        self.forward: List[List[Tuple[int, int]]] = [
+            sorted(
+                (pos_of[w], graph.edge_index(v, w))
+                for w in graph.adjacency[v]
+                if pos_of[w] > p
+            )
+            for p, v in enumerate(placed)
+        ]
 
     def search(
         self,
@@ -146,9 +144,16 @@ class _SolveContext:
         Backtracking is complete: the candidate list at each vertex is
         exactly the affine solution set of its constraints against the
         assigned prefix, ascending (a preferred word, if given and legal,
-        is tried first).  After each placement the partial systems of all
-        unplaced neighbors are re-solved, so a contradiction prunes the
-        branch as soon as it is determined, not when the vertex is reached.
+        is tried first).  Forward checking is incremental: each position
+        keeps the echelon rows of its equations against its placed
+        neighbours, a row being a word with the right-hand side in bit t
+        and its lowest set bit as pivot.  Placing vector x at a position
+        reduces the row x | label(e) << t into the echelon of each later
+        neighbour; a new pivot appends the row, and a row reduced to
+        0 = 1 prunes the branch as soon as the contradiction is
+        determined, not when the neighbour is reached.  A trail records
+        which positions gained a row, and each stack level marks the
+        trail's length, so backtracking pops rows back to that level.
         """
         n = self.graph.n
         if n == 0:
@@ -156,27 +161,20 @@ class _SolveContext:
                 yield []
             return
         order = self.order
-        back = self.back_edges
-        forward = self.forward_positions
+        forward = self.forward
         solve_bits = gf2.solve_bits
+        mask = (1 << t) - 1
         vecs = [0] * n
+        echelon: List[List[int]] = [[] for _ in range(n)]
+        trail: List[int] = []
+        marks: List[int] = []
         stack: List[List[int]] = []
         nodes = 0
 
-        def system(p: int, depth: int):
-            rows = []
-            rhs = []
-            for q, e in back[p]:
-                if q < depth:
-                    rows.append(vecs[order[q]])
-                    rhs.append((label_bits >> e) & 1)
-            return solve_bits(rows, rhs, t)
-
-        def candidates(p: int) -> Optional[List[int]]:
-            sol = system(p, p)
-            if sol is None:
-                return None
-            particular, basis = sol
+        def candidates(p: int) -> List[int]:
+            rows = echelon[p]
+            # Independent rows with nonzero coefficients are always solvable.
+            particular, basis = solve_bits([r & mask for r in rows], [r >> t for r in rows], t)
             cands = gf2.affine_solutions_bits(particular, basis)
             if prefer is not None:
                 want = prefer[order[p]]
@@ -187,10 +185,8 @@ class _SolveContext:
             cands.reverse()
             return cands
 
-        first = candidates(0)
-        if first is None:
-            return
-        stack.append(first)
+        stack.append(candidates(0))
+        marks.append(0)
         while stack:
             nodes += 1
             if deadline is not None and nodes % _DEADLINE_CHECK_INTERVAL == 0:
@@ -199,17 +195,30 @@ class _SolveContext:
             top = stack[-1]
             if not top:
                 stack.pop()
+                marks.pop()
                 continue
             p = len(stack) - 1
-            vecs[order[p]] = top.pop()
+            mark = marks[p]
+            while len(trail) > mark:
+                echelon[trail.pop()].pop()
+            x = vecs[order[p]] = top.pop()
             if p + 1 == n:
                 yield list(vecs)
                 continue
-            if any(system(q, p + 1) is None for q in forward[p] if q > p + 1):
-                continue
-            nxt = candidates(p + 1)
-            if nxt is not None:
-                stack.append(nxt)
+            for q, e in forward[p]:
+                row = x | ((label_bits >> e) & 1) << t
+                rows = echelon[q]
+                for r in rows:
+                    if row & r & -r:
+                        row ^= r
+                if row & mask:
+                    rows.append(row)
+                    trail.append(q)
+                elif row:
+                    break
+            else:
+                stack.append(candidates(p + 1))
+                marks.append(len(trail))
 
 
 @functools.lru_cache(maxsize=256)

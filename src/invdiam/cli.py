@@ -304,6 +304,8 @@ def cmd_reduce(args) -> Tuple[dict, int]:
 
 def cmd_search_hard(args) -> Tuple[dict, int]:
     _dimension(args.t_max, "--t-max")
+    if args.budget < 1:
+        raise InputFormatError(f"--budget must be >= 1, got {args.budget}")
     text = _read(args.graphs)
     entries = []
     for graph, _ in parse_labeled_graphs(text):

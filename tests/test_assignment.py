@@ -1,11 +1,15 @@
+import contextlib
 import functools
 import random
-from itertools import combinations, product
+import time
+from itertools import combinations, islice, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from invdiam import assignment, gf2
 from invdiam.assignment import (
     Assignment,
     _SolveContext,
@@ -425,6 +429,62 @@ def _reference_order(graph):
     return placed
 
 
+def _reference_search(graph, label_bits, t, prefer, nodes):
+    """The solver's search tree rebuilt from scratch: after each placement
+    the whole system of every unplaced neighbour is re-solved.  Yields
+    words indexed by vertex and counts the nodes in nodes[0]."""
+    n = graph.n
+    if n == 0:
+        if label_bits == 0:
+            yield []
+        return
+    order = _reference_order(graph)
+    pos_of = {v: p for p, v in enumerate(order)}
+    back = [
+        [(pos_of[w], graph.edge_index(v, w)) for w in graph.adjacency[v] if pos_of[w] < p]
+        for p, v in enumerate(order)
+    ]
+    forward = [
+        sorted(pos_of[w] for w in graph.adjacency[v] if pos_of[w] > p)
+        for p, v in enumerate(order)
+    ]
+    vecs = [0] * n
+
+    def system(p, depth):
+        placed = [(q, e) for q, e in back[p] if q < depth]
+        rows = [vecs[order[q]] for q, _ in placed]
+        rhs = [(label_bits >> e) & 1 for _, e in placed]
+        return gf2.solve_bits(rows, rhs, t)
+
+    def candidates(p):
+        sol = system(p, p)
+        if sol is None:
+            return None
+        cands = gf2.affine_solutions_bits(*sol)
+        if prefer is not None and prefer[order[p]] in cands:
+            cands.remove(prefer[order[p]])
+            cands.insert(0, prefer[order[p]])
+        return cands[::-1]
+
+    stack = [candidates(0)]
+    while stack:
+        nodes[0] += 1
+        top = stack[-1]
+        if not top:
+            stack.pop()
+            continue
+        p = len(stack) - 1
+        vecs[order[p]] = top.pop()
+        if p + 1 == n:
+            yield list(vecs)
+            continue
+        if any(system(q, p + 1) is None for q in forward[p] if q > p + 1):
+            continue
+        nxt = candidates(p + 1)
+        if nxt is not None:
+            stack.append(nxt)
+
+
 class TestVertexOrder:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(graphs())
@@ -438,6 +498,69 @@ class TestVertexOrder:
     def test_family_stages(self, m, initial):
         g = build_family(2, m, initial).graph
         assert _SolveContext(g).order == _reference_order(g)
+
+
+@contextlib.contextmanager
+def _counting_nodes():
+    """Count the nodes of solver searches that run with a deadline: with a
+    check interval of 1 every node reads the clock once, and the clock
+    stands at 0."""
+    calls = [0]
+
+    def monotonic():
+        calls[0] += 1
+        return 0.0
+
+    saved = assignment._DEADLINE_CHECK_INTERVAL, assignment.time
+    assignment._DEADLINE_CHECK_INTERVAL = 1
+    assignment.time = SimpleNamespace(monotonic=monotonic)
+    try:
+        yield calls
+    finally:
+        assignment._DEADLINE_CHECK_INTERVAL, assignment.time = saved
+
+
+class TestSearchTree:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(graphs(max_n=9, max_m=18), st.integers(0, 4), st.data())
+    def test_matches_from_scratch_search(self, g, t, data):
+        """The same assignments in the same order, after the same number of
+        nodes, up to a cap on the yields."""
+        label_bits = data.draw(st.integers(0, (1 << g.m) - 1))
+        prefer = data.draw(
+            st.none() | st.lists(st.integers(0, (1 << t) - 1), min_size=g.n, max_size=g.n)
+        )
+        cap = data.draw(st.integers(1, 40))
+        expected_nodes = [0]
+        expected = list(islice(_reference_search(g, label_bits, t, prefer, expected_nodes), cap))
+        with _counting_nodes() as nodes:
+            got = list(islice(_SolveContext(g).search(label_bits, t, 1.0, prefer), cap))
+        assert got == expected
+        assert nodes == expected_nodes
+
+    @pytest.mark.parametrize(
+        "m, initial, t, verdict, nodes",
+        [
+            (3, 0, 3, "unsat", 3176),
+            (3, 1, 3, "unsat", 1574),
+            (4, 0, 3, "unsat", 3176),
+            (4, 0, 4, "sat", 3543),
+        ],
+    )
+    def test_family_node_counts(self, m, initial, t, verdict, nodes):
+        lg = build_family(2, m, initial)
+        with _counting_nodes() as counted:
+            got, _ = solve_with_deadline(lg.graph, lg.label, t, 1.0)
+        assert (got, counted[0]) == (verdict, nodes)
+
+    def test_timeout_leaves_no_search_state(self):
+        lg = build_family(2, 4, 0)
+        g, lab = lg.graph, lg.label
+        # The first clock check comes at node 2,048 of the 3,176-node refutation.
+        assert solve_with_deadline(g, lab, 3, time.monotonic() - 1) == ("timeout", None)
+        assert solve_with_deadline(g, lab, 3, time.monotonic() + 600) == ("unsat", None)
+        fresh = next(_SolveContext(g).search(lab.bits, 4))
+        assert solve(g, lab, 4) == Assignment.from_bits(g, 4, fresh)
 
 
 @st.composite

@@ -646,6 +646,8 @@ _ERROR_CASES = {
     "diameter-t-max-40": (["diameter", "{c4}", "--t-max", "40"], 2, "input"),
     "search-hard-t-max-negative": (["search-hard", "{c4}", "--t-max", "-1"], 2, "input"),
     "search-hard-t-max-40": (["search-hard", "{c4}", "--t-max", "40"], 2, "input"),
+    "search-hard-budget-0": (["search-hard", "{c4}", "--budget", "0"], 2, "input"),
+    "search-hard-budget-negative": (["search-hard", "{c4}", "--budget", "-3"], 2, "input"),
     "family-k-0": (["family", "--k", "0", "--m", "1"], 2, "input"),
     "family-m-negative": (["family", "--k", "2", "--m", "-1"], 2, "input"),
     "family-initial-label-too-long": (

@@ -13,8 +13,9 @@ alternating orientation) and, if m <= 12, `diameter --engine both` and
 `bfs-diameter`; `search-hard --budget 256` and `search-hard --t-max 1
 --budget 512` on each outer-planar file; `reduce --all` and the seven
 `reduce --mutate` controls; `family --k 2 --m 2` and `--m 3`; the stage-3
-k=2 family graph (n=366) written by `family --graph-out`, through
-`assign --t 3` (unsat), `assign --t 4` and `mindim`.
+and stage-4 k=2 family graphs (n=366 and n=3,282) written by
+`family --graph-out`, through `assign --t 3` (unsat) and `assign --t 4`,
+and the stage-3 graph through `mindim`.
 """
 
 from __future__ import annotations
@@ -81,11 +82,12 @@ def main_corpus(out_dir: Path) -> None:
         run(f"reduce-{mutation}", ["reduce", "--mutate", mutation])
     for m in (2, 3):
         run(f"family-k2-m{m}", ["family", "--k", "2", "--m", str(m)])
-    stage3 = "family-k2-m3-graph"
-    run(stage3, ["family", "--k", "2", "--m", "3", "--graph-out", f"{stage3}.ilg"])
-    for t in (3, 4):
-        run(f"{stage3}.assign{t}", ["assign", f"{stage3}.ilg", "--t", str(t)])
-    run(f"{stage3}.mindim", ["mindim", f"{stage3}.ilg"])
+    for m in (3, 4):
+        stage = f"family-k2-m{m}-graph"
+        run(stage, ["family", "--k", "2", "--m", str(m), "--graph-out", f"{stage}.ilg"])
+        for t in (3, 4):
+            run(f"{stage}.assign{t}", ["assign", f"{stage}.ilg", "--t", str(t)])
+    run("family-k2-m3-graph.mindim", ["mindim", "family-k2-m3-graph.ilg"])
 
 
 if __name__ == "__main__":
