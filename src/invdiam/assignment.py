@@ -38,6 +38,15 @@ class Assignment:
         if self.words and not (0 <= min(self.words) and max(self.words) < 1 << self.t):
             raise ValueError(f"a vector has set bits at or above dimension t={self.t}")
 
+    @functools.cached_property
+    def induced_bits(self) -> int:
+        """The label word these vectors realize: bit e is f(u).f(v) on edge
+        e.  Built from the words alone, in one pass over the edges: a 0/1
+        string, edge 0 first, read as one binary number."""
+        words = self.words
+        text = bytes([48 | (words[u] & words[v]).bit_count() & 1 for u, v in self.graph.edges])
+        return int(text[::-1] or b"0", 2)
+
     def bits(self) -> List[int]:
         return list(self.words)
 
@@ -63,12 +72,7 @@ def verify(graph: Graph, label: Label, assignment: Assignment) -> bool:
         raise ValueError("assignment belongs to a different graph")
     if label.graph != graph:
         raise ValueError("label belongs to a different graph")
-    words = assignment.words
-    bits = label.bits
-    for e, (u, v) in enumerate(graph.edges):
-        if (words[u] & words[v]).bit_count() & 1 != (bits >> e) & 1:
-            return False
-    return True
+    return assignment.induced_bits == label.bits
 
 
 class _Timeout(Exception):

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import reducibility
 from .assignment import Assignment, diameter_via_assignment, verify
 from .errors import InputFormatError
-from .family import build_family, reconstruct_leveled
+from .family import LeveledGraph, build_family, reconstruct_leveled
 from .family import probe_bad_cliques, probe_clique_independence, probe_extension_dichotomy
 from .gf2 import text_to_word, word_to_text
 from .graph import Graph, Label, Orientation, parse_labeled_graph, serialize_labeled_graph
@@ -210,6 +210,30 @@ class CheckResult:
         return condition
 
 
+def probe_reports_json(lg: LeveledGraph, assignment: Assignment) -> dict:
+    """The three report sections of a probe certificate, as `probe` writes
+    them and `check` re-derives them."""
+    ind = probe_clique_independence(lg, assignment)
+    dich = probe_extension_dichotomy(lg, assignment)
+    bad = probe_bad_cliques(lg, assignment)
+    return {
+        "clique_independence": {
+            "checked": ind.checked,
+            "failures": [list(map(list, f)) for f in ind.failures],
+            "passed": ind.passed,
+        },
+        "extension_dichotomy": {
+            "checked": dich.checked,
+            "failures": [list(map(list, f)) for f in dich.failures],
+            "passed": dich.passed,
+        },
+        "bad_cliques": {
+            "checked": bad.checked,
+            "bad": [list(c) for c in bad.bad],
+        },
+    }
+
+
 def _graph_and_label(doc: dict) -> Tuple[Graph, Label]:
     graph, file_label = parse_labeled_graph(doc["graph"])
     if "label" in doc and doc["label"] is not None:
@@ -334,24 +358,12 @@ def _check_probe_cert(doc: dict, res: CheckResult) -> None:
     graph, label = _graph_and_label(doc)
     levels = parse_levels_text(doc["levels"], graph.n)
     lg = reconstruct_leveled(graph, label, levels, doc["k"])
+    res.require(doc["k"] == lg.k and doc["m"] == lg.m, "k or m differs from the family")
     assignment = Assignment.from_strings(graph, doc["assignment"])
-    ind = probe_clique_independence(lg, assignment)
-    dich = probe_extension_dichotomy(lg, assignment)
-    bad = probe_bad_cliques(lg, assignment)
-    res.require(
-        ind.passed == doc["clique_independence"]["passed"]
-        and ind.checked == doc["clique_independence"]["checked"],
-        "clique independence report differs on re-run",
-    )
-    res.require(
-        dich.passed == doc["extension_dichotomy"]["passed"]
-        and dich.checked == doc["extension_dichotomy"]["checked"],
-        "extension dichotomy report differs on re-run",
-    )
-    res.require(
-        [list(c) for c in bad.bad] == doc["bad_cliques"]["bad"],
-        "bad clique listing differs on re-run",
-    )
+    for section, report in probe_reports_json(lg, assignment).items():
+        res.require(
+            doc[section] == report, f"{section.replace('_', ' ')} report differs on re-run"
+        )
 
 
 def _check_reduce(doc: dict, res: CheckResult) -> None:
@@ -487,6 +499,7 @@ __all__ = [
     "family_from_json",
     "levels_to_text",
     "parse_levels_text",
+    "probe_reports_json",
     "check_family",
     "refute",
     "CheckResult",

@@ -27,15 +27,10 @@ from .certificates import (
     counterexample_json,
     levels_to_text,
     parse_levels_text,
+    probe_reports_json,
 )
 from .errors import BudgetExceededError, InputFormatError, InvariantError
-from .family import (
-    build_family,
-    probe_bad_cliques,
-    probe_clique_independence,
-    probe_extension_dichotomy,
-    reconstruct_leveled,
-)
+from .family import build_family, reconstruct_leveled
 from .graph import (
     Label,
     Orientation,
@@ -217,11 +212,9 @@ def cmd_probe(args) -> Tuple[dict, int]:
     lg = reconstruct_leveled(graph, label, levels, args.k)
     try:
         assignment = Assignment.from_strings(graph, strings)
-        ind = probe_clique_independence(lg, assignment)  # checks dimension and label
+        reports = probe_reports_json(lg, assignment)  # checks dimension and label
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"unusable --assignment: {exc}") from None
-    dich = probe_extension_dichotomy(lg, assignment)
-    bad = probe_bad_cliques(lg, assignment)
     return {
         "kind": "probe",
         "k": lg.k,
@@ -229,20 +222,7 @@ def cmd_probe(args) -> Tuple[dict, int]:
         "graph": serialize_labeled_graph(graph, label),
         "levels": levels_to_text(levels),
         "assignment": strings,
-        "clique_independence": {
-            "checked": ind.checked,
-            "failures": [list(map(list, f)) for f in ind.failures],
-            "passed": ind.passed,
-        },
-        "extension_dichotomy": {
-            "checked": dich.checked,
-            "failures": [list(map(list, f)) for f in dich.failures],
-            "passed": dich.passed,
-        },
-        "bad_cliques": {
-            "checked": bad.checked,
-            "bad": [list(c) for c in bad.bad],
-        },
+        **reports,
     }, EXIT_OK
 
 

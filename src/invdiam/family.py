@@ -10,6 +10,7 @@ stage.  These families drive the worst-case distance against dimension
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -34,12 +35,43 @@ class CliqueRecord:
 
 @dataclass
 class LeveledGraph:
+    """A stage-m family with its clique registry.  The clique plans below
+    depend on the registry alone, so each probe reads them instead of
+    filtering the registry again; the registry must not change after they
+    are first read."""
+
     graph: Graph
     label: Label
     levels: Tuple[int, ...]
     k: int
     m: int
     cliques: Tuple[CliqueRecord, ...]
+
+    @functools.cached_property
+    def expanded_cliques(self) -> Tuple[Tuple[int, ...], ...]:
+        """Vertices of each clique expanded at least once (level <= m-1),
+        in registry order."""
+        return tuple(c.vertices for c in self.cliques if c.level <= self.m - 1)
+
+    @functools.cached_property
+    def extension_plan(self) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+        """(vertices, children of the next stage) of each clique expanded
+        twice (level <= m-2), in registry order."""
+        return tuple(
+            (c.vertices, tuple(u for u, stage in c.children if stage == c.level + 1))
+            for c in self.cliques
+            if c.level <= self.m - 2
+        )
+
+    @functools.cached_property
+    def sub_cliques(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every nonempty sub-clique of a registered clique, by size and
+        then vertices."""
+        subsets = set()
+        for clique in self.cliques:
+            for p in range(1, len(clique.vertices) + 1):
+                subsets.update(combinations(clique.vertices, p))
+        return tuple(sorted(subsets, key=lambda s: (len(s), s)))
 
 
 def projected_family_size(k: int, m: int) -> Tuple[int, int, int]:
@@ -180,15 +212,12 @@ def probe_clique_independence(lg: LeveledGraph, f: Assignment) -> ProbeReport:
     been expanded at least once (level <= m-1)."""
     _check_probe_input(lg, f)
     bits = f.words
-    checked = 0
-    failures = []
-    for clique in lg.cliques:
-        if clique.level > lg.m - 1:
-            continue
-        checked += 1
-        if gf2.rank_bits([bits[v] for v in clique.vertices], f.t) != lg.k:
-            failures.append((clique.vertices,))
-    return ProbeReport("clique_independence", checked, tuple(failures))
+    failures = tuple(
+        (vertices,)
+        for vertices in lg.expanded_cliques
+        if gf2.rank_bits([bits[v] for v in vertices], f.t) != lg.k
+    )
+    return ProbeReport("clique_independence", len(lg.expanded_cliques), failures)
 
 
 def probe_extension_dichotomy(lg: LeveledGraph, f: Assignment) -> ProbeReport:
@@ -198,20 +227,16 @@ def probe_extension_dichotomy(lg: LeveledGraph, f: Assignment) -> ProbeReport:
     bits = f.words
     checked = 0
     failures = []
-    for clique in lg.cliques:
-        if clique.level > lg.m - 2:
-            continue
-        base = [bits[v] for v in clique.vertices]
+    for vertices, children in lg.extension_plan:
+        base = [bits[v] for v in vertices]
         total = 0
         for b in base:
             total ^= b
-        for child, stage in clique.children:
-            if stage != clique.level + 1:
-                continue
-            checked += 1
+        checked += len(children)
+        for child in children:
             cw = bits[child]
             if cw != total and gf2.rank_bits(base + [cw], f.t) != lg.k + 1:
-                failures.append((clique.vertices, (child,)))
+                failures.append((vertices, (child,)))
     return ProbeReport("extension_dichotomy", checked, tuple(failures))
 
 
@@ -222,11 +247,11 @@ class BadCliqueReport:
 
 
 def _self_orthogonal_dim(words: Sequence[int], dim: int) -> int:
-    """dim(span V intersect V-perp) via the Gram matrix of a basis of V."""
-    basis: List[int] = []
-    for w in words:
-        if gf2.rank_bits(basis + [w], dim) > len(basis):
-            basis.append(w)
+    """dim(span V intersect V-perp) via the Gram matrix of a basis of V.
+
+    That dimension is r - rank(Gram) for any basis of V, so the echelon
+    basis serves."""
+    basis = gf2.echelon_bits(words, dim)
     r = len(basis)
     if r == 0:
         return 0
@@ -245,15 +270,12 @@ def probe_bad_cliques(lg: LeveledGraph, f: Assignment) -> BadCliqueReport:
     dim(V intersect V-perp) >= |C| - 1."""
     _check_probe_input(lg, f)
     bits = f.words
-    subsets = set()
-    for clique in lg.cliques:
-        for p in range(1, len(clique.vertices) + 1):
-            subsets.update(combinations(clique.vertices, p))
-    bad = []
-    for sub in sorted(subsets, key=lambda s: (len(s), s)):
-        if _self_orthogonal_dim([bits[v] for v in sub], f.t) >= len(sub) - 1:
-            bad.append(sub)
-    return BadCliqueReport(len(subsets), tuple(bad))
+    bad = tuple(
+        sub
+        for sub in lg.sub_cliques
+        if _self_orthogonal_dim([bits[v] for v in sub], f.t) >= len(sub) - 1
+    )
+    return BadCliqueReport(len(lg.sub_cliques), bad)
 
 
 @dataclass(frozen=True)

@@ -32,26 +32,28 @@ def dot_bits(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
+def echelon_bits(rows: Sequence[int], dim: int) -> List[int]:
+    """An echelon basis of the span of the rows, ignoring coordinates at or
+    above dim.
+
+    Each row is reduced against the echelon rows kept so far and, if
+    anything is left, kept with its lowest set bit as pivot.  A kept row is
+    already reduced against every earlier pivot, so reducing against the
+    rows in insertion order never sets an earlier pivot again."""
+    mask = (1 << dim) - 1
+    echelon: List[int] = []
+    for row in rows:
+        row &= mask
+        for r in echelon:
+            if row & r & -r:
+                row ^= r
+        if row:
+            echelon.append(row)
+    return echelon
+
+
 def rank_bits(rows: Sequence[int], dim: int) -> int:
-    work = list(rows)
-    r = 0
-    for col in range(dim):
-        mask = 1 << col
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i] & mask:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and work[i] & mask:
-                work[i] ^= work[r]
-        r += 1
-        if r == len(work):
-            break
-    return r
+    return len(echelon_bits(rows, dim))
 
 
 def solve_bits(
@@ -109,6 +111,7 @@ __all__ = [
     "word_to_text",
     "text_to_word",
     "dot_bits",
+    "echelon_bits",
     "rank_bits",
     "solve_bits",
     "affine_solutions_bits",

@@ -67,7 +67,7 @@ class Graph:
         return len(self.adjacency[v])
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
         )
 

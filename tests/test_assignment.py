@@ -72,6 +72,27 @@ def brute_force_sat(graph, label, t):
     return False
 
 
+def _reference_verify(graph, label, f):
+    """The per-edge check, one scalar product per edge."""
+    return all(
+        dot_bits(f.words[u], f.words[v]) == label.bit(e) for e, (u, v) in enumerate(graph.edges)
+    )
+
+
+@st.composite
+def assignments_and_labels(draw):
+    """A random assignment and two labels; half the time the first label is
+    the one the assignment realizes."""
+    g = draw(graphs(max_n=9, max_m=20))
+    t = draw(st.integers(0, 4))
+    words = draw(st.lists(st.integers(0, (1 << t) - 1), min_size=g.n, max_size=g.n))
+    f = Assignment(g, t, tuple(words))
+    realized = sum(dot_bits(f.words[u], f.words[v]) << e for e, (u, v) in enumerate(g.edges))
+    first = realized if draw(st.booleans()) else draw(st.integers(0, (1 << g.m) - 1))
+    second = draw(st.integers(0, (1 << g.m) - 1))
+    return f, Label(g, first), Label(g, second)
+
+
 class TestVerify:
     def test_k2_examples(self):
         g = k2()
@@ -83,6 +104,38 @@ class TestVerify:
         g = complete(3)
         lab = Label(g, 0b111)
         assert verify(g, lab, Assignment.from_strings(g, ["1", "1", "1"]))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(assignments_and_labels())
+    def test_matches_per_edge_reference(self, case):
+        f, first, second = case
+        g = f.graph
+        expected = [_reference_verify(g, lab, f) for lab in (first, second)]
+        # Two equal assignments, each checked against both labels, in both
+        # orders: the word one of them caches belongs to neither label.
+        again = Assignment(g, f.t, f.words)
+        assert [verify(g, lab, f) for lab in (first, second)] == expected
+        assert [verify(g, lab, again) for lab in (second, first)] == expected[::-1]
+        # A graph equal to the assignment's but a different object.
+        twin = Graph(g.n, g.edges)
+        assert verify(twin, Label(twin, first.bits), f) == expected[0]
+
+    def test_one_flipped_edge_fails_stage_4(self):
+        lg = build_family(2, 4)
+        g, lab = lg.graph, lg.label
+        witness = solve(g, lab, 4)
+        assert verify(g, lab, witness)
+        for e in range(g.m):
+            assert not verify(g, Label(g, lab.bits ^ (1 << e)), witness)
+        assert verify(g, lab, witness)
+
+    def test_mismatched_graphs_raise(self):
+        g, other = path(3), cycle(3)
+        f = Assignment.from_strings(g, ["1", "1", "1"])
+        with pytest.raises(ValueError, match="assignment belongs"):
+            verify(other, Label(other, 0), f)
+        with pytest.raises(ValueError, match="label belongs"):
+            verify(g, Label(other, 0), f)
 
 
 class TestSolve:

@@ -275,6 +275,59 @@ class TestProbeFlow:
         assert code == 0 and check_doc["valid"]
 
 
+    @pytest.mark.parametrize(
+        "tamper, note",
+        [
+            (lambda doc: doc["bad_cliques"].update(checked=999), "bad cliques"),
+            (
+                lambda doc: doc["clique_independence"].update(failures=[[[0, 1]]]),
+                "clique independence",
+            ),
+            (
+                lambda doc: doc["extension_dichotomy"].update(failures=[[[0, 1], [2]]]),
+                "extension dichotomy",
+            ),
+        ],
+        ids=["bad-cliques-checked-999", "independence-failure", "dichotomy-failure"],
+    )
+    def test_tampered_report_rejected(self, capsys, tmp_path, tamper, note):
+        doc = self._k2_m2_probe(capsys, tmp_path)
+        tamper(doc)
+        assert self._check(capsys, tmp_path, doc) == [f"FAIL: {note} report differs on re-run"]
+
+    def test_tampered_m_rejected(self, capsys, tmp_path):
+        doc = self._k2_m2_probe(capsys, tmp_path)
+        doc["m"] = 7
+        assert self._check(capsys, tmp_path, doc) == ["FAIL: k or m differs from the family"]
+
+    @staticmethod
+    def _k2_m2_probe(capsys, tmp_path):
+        gout, lout, cert = tmp_path / "fam.ilg", tmp_path / "fam.levels", tmp_path / "a.json"
+        assert main(
+            ["family", "--k", "2", "--m", "2", "--graph-out", str(gout),
+             "--levels-out", str(lout), "--no-meta"]
+        ) == 0
+        assert main(["assign", str(gout), "--t", "3", "--out", str(cert), "--no-meta"]) == 0
+        capsys.readouterr()
+        code, doc = run_cli(
+            capsys, "probe", str(gout), "--levels", str(lout), "--assignment", str(cert),
+            "--no-meta",
+        )
+        assert code == 0 and doc["clique_independence"]["passed"]
+        return doc
+
+    @staticmethod
+    def _check(capsys, tmp_path, doc):
+        """Check a probe certificate that must be rejected; its FAIL notes."""
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(doc))
+        code = main(["check", str(path), "--no-meta"])
+        out = capsys.readouterr()
+        check_doc = json.loads(out.out)
+        assert code == 1 and not check_doc["valid"] and out.err == ""
+        return [n for n in check_doc["notes"] if n.startswith("FAIL")]
+
+
 class TestReduce:
     def test_single_config(self, capsys):
         code, doc = run_cli(capsys, "reduce", "--config", "P3", "--no-meta")

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -5,6 +6,10 @@ import pytest
 from invdiam.assignment import Assignment, enumerate_assignments, min_dim, solve
 from invdiam.errors import BudgetExceededError, InputFormatError
 from invdiam.family import (
+    BadCliqueReport,
+    CliqueRecord,
+    LeveledGraph,
+    ProbeReport,
     build_family,
     family_min_dim_scan,
     is_k_tree,
@@ -14,6 +19,7 @@ from invdiam.family import (
     projected_family_size,
     reconstruct_leveled,
 )
+from invdiam.gf2 import dot_bits
 from invdiam.graph import Graph, Label
 
 
@@ -161,6 +167,127 @@ class TestProbes:
             assert report.checked == 4  # base clique, its four children
 
 
+def _span(words):
+    span = {0}
+    for w in words:
+        span |= {x ^ w for x in span}
+    return span
+
+
+def _reference_rank(words):
+    return len(_span(words)).bit_length() - 1
+
+
+def _reference_independence(lg, f):
+    """Reference clique independence probe: filters lg.cliques on each call
+    and takes ranks from listed spans."""
+    bits = f.words
+    checked = 0
+    failures = []
+    for clique in lg.cliques:
+        if clique.level > lg.m - 1:
+            continue
+        checked += 1
+        if _reference_rank([bits[v] for v in clique.vertices]) != lg.k:
+            failures.append((clique.vertices,))
+    return ProbeReport("clique_independence", checked, tuple(failures))
+
+
+def _reference_dichotomy(lg, f):
+    """Reference extension dichotomy probe: filters lg.cliques on each call
+    and takes ranks from listed spans."""
+    bits = f.words
+    checked = 0
+    failures = []
+    for clique in lg.cliques:
+        if clique.level > lg.m - 2:
+            continue
+        base = [bits[v] for v in clique.vertices]
+        total = 0
+        for b in base:
+            total ^= b
+        for child, stage in clique.children:
+            if stage != clique.level + 1:
+                continue
+            checked += 1
+            cw = bits[child]
+            if cw != total and _reference_rank(base + [cw]) != lg.k + 1:
+                failures.append((clique.vertices, (child,)))
+    return ProbeReport("extension_dichotomy", checked, tuple(failures))
+
+
+def _reference_bad_cliques(lg, f):
+    """Sub-cliques whose span V has |V intersect V-perp| >= 2^(|C|-1), by
+    listing V."""
+    subsets = set()
+    for clique in lg.cliques:
+        for p in range(1, len(clique.vertices) + 1):
+            subsets.update(combinations(clique.vertices, p))
+    bad = []
+    for sub in sorted(subsets, key=lambda s: (len(s), s)):
+        span = _span([f.words[v] for v in sub])
+        radical = [x for x in span if all(dot_bits(x, y) == 0 for y in span)]
+        if len(radical) >= 1 << (len(sub) - 1):
+            bad.append(sub)
+    return BadCliqueReport(len(subsets), tuple(bad))
+
+
+def _probe_cases():
+    for k, m in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
+        lg = build_family(k, m)
+        rebuilt = reconstruct_leveled(lg.graph, lg.label, lg.levels, k)
+        # Claiming one stage more makes the unexpanded cliques count as
+        # expanded: a family the lemmas do not cover, so probes fail.
+        for fam in (lg, rebuilt, dataclasses.replace(rebuilt, m=m + 1)):
+            for f in enumerate_assignments(fam.graph, fam.label, 2 * k - 1, 40):
+                yield fam, f
+
+
+class TestProbesAgainstReference:
+    def test_same_reports(self):
+        failing = 0
+        for lg, f in _probe_cases():
+            ind = probe_clique_independence(lg, f)
+            assert ind == _reference_independence(lg, f)
+            dich = probe_extension_dichotomy(lg, f)
+            assert dich == _reference_dichotomy(lg, f)
+            assert probe_bad_cliques(lg, f) == _reference_bad_cliques(lg, f)
+            failing += bool(ind.failures) + bool(dich.failures)
+        assert failing > 0
+
+    @staticmethod
+    def _hand_built(m, vectors, label_bits):
+        """K2 on {0, 1}, with child 2 at stage 1 if three vectors are given."""
+        n = len(vectors)
+        graph = Graph(n, combinations(range(n), 2))
+        cliques = [CliqueRecord((0, 1), 0, [(2, 1)] if n == 3 else [])]
+        if n == 3:
+            cliques += [CliqueRecord((0, 2), 1), CliqueRecord((1, 2), 1)]
+        lg = LeveledGraph(graph, Label(graph, label_bits), (0, 0, 1)[:n], 2, m, tuple(cliques))
+        return lg, Assignment.from_strings(graph, vectors)
+
+    def test_k2_registered_at_m1_without_children(self):
+        lg, f = self._hand_built(1, ["110", "110"], 0)
+        assert probe_clique_independence(lg, f) == ProbeReport(
+            "clique_independence", 1, (((0, 1),),)
+        )
+        assert probe_extension_dichotomy(lg, f) == ProbeReport("extension_dichotomy", 0, ())
+
+    def test_dependent_child_fails_both_probes(self):
+        # Edges (0,1), (0,2), (1,2): 100.010 = 0, 100.100 = 1, 010.100 = 0.
+        lg, f = self._hand_built(2, ["100", "010", "100"], 0b010)
+        ind = probe_clique_independence(lg, f)
+        dich = probe_extension_dichotomy(lg, f)
+        assert ind == ProbeReport("clique_independence", 3, (((0, 2),),))
+        assert dich == ProbeReport("extension_dichotomy", 1, (((0, 1), (2,)),))
+        assert (ind, dich) == (_reference_independence(lg, f), _reference_dichotomy(lg, f))
+
+    def test_child_equal_to_the_sum_passes(self):
+        # The child 110 is the sum of 100 and 010: 100.110 = 1, 010.110 = 1.
+        lg, f = self._hand_built(2, ["100", "010", "110"], 0b110)
+        assert probe_extension_dichotomy(lg, f) == ProbeReport("extension_dichotomy", 1, ())
+
+
 class TestBadCliques:
     def test_single_vertex_always_bad(self):
         lg = build_family(2, 0)
@@ -217,8 +344,6 @@ class TestMinDimGrowth:
         # Independent oracle: all 2^9 one-dimensional assignments fail.
         lg = build_family(1, 2)
         g, lab = lg.graph, lg.label
-        from invdiam.gf2 import dot_bits
-
         for words in range(1 << g.n):
             ok = all(
                 dot_bits((words >> u) & 1, (words >> v) & 1) == lab.bit(e)

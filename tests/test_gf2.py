@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invdiam.gf2 import (
     affine_solutions_bits,
@@ -72,6 +74,14 @@ class TestParity:
         assert dot_bits(v("110"), all_ones) == 0
 
 
+@st.composite
+def dim_and_rows(draw):
+    """dim <= 6 and up to 8 rows, which may carry bits at dim and dim + 1:
+    coordinates rank_bits ignores."""
+    dim = draw(st.integers(0, 6))
+    return dim, draw(st.lists(st.integers(0, (1 << (dim + 2)) - 1), max_size=8))
+
+
 class TestRank:
     def test_identity(self):
         assert rank_bits([v("100"), v("010"), v("001")], 3) == 3
@@ -87,6 +97,15 @@ class TestRank:
         rows = [v("110"), v("011")]
         rank_bits(rows, 3)
         assert rows == [v("110"), v("011")]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(dim_and_rows())
+    def test_log_of_span_size(self, case):
+        dim, rows = case
+        span = {0}
+        for row in rows:
+            span |= {w ^ (row & ((1 << dim) - 1)) for w in span}
+        assert rank_bits(rows, dim) == len(span).bit_length() - 1
 
     def test_bounds_and_span_stability(self):
         rng = random.Random(7)
