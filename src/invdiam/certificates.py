@@ -386,6 +386,12 @@ def _check_reduce(doc: dict, res: CheckResult) -> None:
         cfg = base
         if cex.get("mutation"):
             cfg = reducibility.apply_mutation(cfg, cex["mutation"])
+        if not res.require(
+            cfg.name == row["name"] and cex.get("mutation") == doc["mutation"],
+            f"{row['name']}: counterexample is for {cfg.name},"
+            f" not this row under mutation {doc['mutation']!r}",
+        ):
+            continue
         labels = Label.from_string(cfg.graph, cex["labels"]).bits
         if cex["stage"] == "main":
             fam = family_from_json(cex["family"])
@@ -398,12 +404,26 @@ def _check_reduce(doc: dict, res: CheckResult) -> None:
                 witness is None, f"{row['name']}: counterexample family has a witness"
             )
         elif cex["stage"] == "choice":
+            if not res.require(cfg.choice_stage, f"{row['name']}: no choice stage"):
+                continue
             inst = cex["choice_instance"]
+            b = len(cfg.boundary)
+            t = inst["t"]
             multi = [_words(ms) for ms in inst["multi_sets"]]
             singles = _words(inst["singles"])
-            feasible = reducibility.admits_choice(
-                len(cfg.boundary), inst["t"], multi[0], multi[1], singles
-            )
+            if len(multi) != 2 or len(singles) != b - 2 or not 1 <= t < b:
+                raise ValueError(
+                    f"a choice instance has 2 multi sets, {b - 2} singles and 1 <= t < {b}"
+                )
+            nonzero = set(reducibility.NONZERO_VECTORS)
+            if not res.require(
+                all(set(ms) <= nonzero and len(set(ms)) >= cfg.choice_multi_min for ms in multi)
+                and set(singles) <= nonzero,
+                f"{row['name']}: choice instance needs nonzero vectors and multi sets"
+                f" of at least {cfg.choice_multi_min} distinct vectors",
+            ):
+                continue
+            feasible = reducibility.admits_choice(b, t, multi[0], multi[1], singles)
             res.require(
                 not feasible, f"{row['name']}: choice counterexample admits a choice"
             )

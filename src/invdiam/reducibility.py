@@ -12,11 +12,14 @@ Witness existence is monotone in the candidate sets, so the universal
 check only needs families whose sets sit at the constraint lower bounds;
 forced members are kept and the rest filled up to that minimum.
 
-Each admissible label word is decided from two things computed once: its
-witness set (the boundary tuples that extend into H, found in one pass
-over H's assignments) and a per-vertex table of candidate sets with their
-designated-value options.  A candidate-set combination is stuck when its
-product misses the witness set; its families are counted from the table.
+Vectors of F2^3 are handled as 8-bit masks.  Each admissible label word is
+decided from its witness patterns: per assignment of H, the mask of the
+vectors each boundary vertex may take.  A candidate set's hit mask marks
+the patterns it meets at its vertex, and a candidate-set combination is
+stuck when the AND of its hit masks is 0.  `masks.walk` visits the
+combinations in lexicographic order carrying that AND; without a linking
+rule, a subtree whose every completion stays nonzero is counted from the
+per-vertex table of designated-value options without being entered.
 
 This module only emits verdicts and holds no backtracking search.  Single
 families are re-checked by `certificates.check_family`, which runs the
@@ -29,11 +32,11 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import combinations, product
-from math import prod
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import gf2
+from . import gf2, masks
 from .graph import Graph
 
 DIM = 3
@@ -119,6 +122,8 @@ class ReducibilityConfiguration:
         for rule in self.rules:
             if rule.include_zero and rule.excludes_zero(0) and rule.exclude_zero != EXCLUDE_IF_ALL_ZERO:
                 raise ValueError("rule both forces and excludes the zero vector")
+        if self.choice_stage and len(self.boundary) < 2:
+            raise ValueError("the choice stage needs two boundary vertices")
 
     # -- labels ------------------------------------------------------------
 
@@ -253,35 +258,62 @@ def enumerate_families(
             yield BoundaryFamily(csets, designated)
 
 
-# -- witness sets -----------------------------------------------------------
+# -- witness patterns ---------------------------------------------------------
+
+# _SPLIT[w][bit]: the mask of the vectors x with w·x = bit.
+_SPLIT = tuple(
+    tuple(sum(1 << x for x in ALL_VECTORS if gf2.dot_bits(w, x) == bit) for bit in (0, 1))
+    for w in ALL_VECTORS
+)
 
 
-def _witness_set(cfg: ReducibilityConfiguration, labels: int) -> Set[Tuple[int, ...]]:
-    """Boundary tuples (in boundary order, over all of F2^3) that extend to
-    an assignment of H satisfying every label.
+def _allowed(vectors: Tuple[int, ...], ties: Sequence[Tuple[int, int]]) -> int:
+    """The mask of the x with vectors[p]·x = bit for every (p, bit)."""
+    mask = 255
+    for p, bit in ties:
+        mask &= _SPLIT[vectors[p]][bit]
+    return mask
 
-    Boundary vertices are pairwise nonadjacent, so once H's vectors are
-    fixed each boundary vertex's allowed vectors depend on those alone."""
-    g = cfg.graph
-    pos = {v: i for i, v in enumerate(sorted(cfg.h_vertices))}
-    inner = [
-        (pos[u], pos[v], (labels >> e) & 1)
-        for e, (u, v) in enumerate(g.edges)
-        if u in pos and v in pos
+
+def _witness_patterns(cfg: ReducibilityConfiguration, labels: int) -> List[Tuple[int, ...]]:
+    """The distinct witness patterns, sorted, of the assignments of H that
+    satisfy H's inner labels: per boundary vertex in boundary order, the
+    mask of the vectors it may take; patterns with an empty mask are left
+    out.  Boundary vertices are pairwise nonadjacent, so the boundary
+    tuples that extend into H are the union of the patterns' products.  H
+    is assigned vertex by vertex, each inner edge checked as soon as both
+    its ends are placed."""
+    graph = cfg.graph
+    order = sorted(cfg.h_vertices)
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [
+        [(pos[u], (labels >> graph.edge_index(u, v)) & 1) for u in graph.adjacency[v]
+         if u in pos and pos[u] < pos[v]]
+        for v in order
     ]
     ties = [
-        [(pos[h], (labels >> g.edge_index(u, h)) & 1) for h in g.adjacency[u]]
+        [(pos[h], (labels >> graph.edge_index(u, h)) & 1) for h in graph.adjacency[u]]
         for u in cfg.boundary
     ]
-    witnesses: Set[Tuple[int, ...]] = set()
-    for vectors in product(ALL_VECTORS, repeat=len(pos)):
-        if all(gf2.dot_bits(vectors[a], vectors[b]) == bit for a, b, bit in inner):
-            allowed = [
-                [w for w in ALL_VECTORS if all(gf2.dot_bits(w, vectors[h]) == bit for h, bit in tie)]
-                for tie in ties
-            ]
-            witnesses.update(product(*allowed))
-    return witnesses
+    assignments: List[Tuple[int, ...]] = [()]
+    for edges in earlier:
+        assignments = [
+            a + (x,)
+            for a in assignments
+            for allowed in (_allowed(a, edges),)
+            for x in ALL_VECTORS
+            if allowed >> x & 1
+        ]
+    patterns = {tuple(_allowed(a, tie) for tie in ties) for a in assignments}
+    return sorted(p for p in patterns if all(p))
+
+
+def _hit_mask(patterns: Sequence[Tuple[int, ...]], i: int, cset: Sequence[int]) -> int:
+    """Bit j is set iff the candidate set meets patterns[j] at boundary
+    vertex i.  A combination of candidate sets has a witness iff the AND
+    of their hit masks is nonzero."""
+    members = sum(1 << v for v in cset)
+    return sum(1 << j for j, pattern in enumerate(patterns) if pattern[i] & members)
 
 
 @dataclass(frozen=True)
@@ -332,28 +364,42 @@ def _check_choice_stage(
     """Verify the pre-step of the singleton configurations derived from a
     cycle with one multi-candidate pair: for each nonadjacent partner t,
     every candidate-set combination admits a choice that is not two equal
-    pairs.  Returns (combinations checked, first failure)."""
+    pairs.  Returns (combinations checked, first failure).
+
+    admits_choice tests the sorted values, so its verdict depends neither
+    on t nor on the order of the singles: the pass at t = 1 decides every
+    t, and a clean pass counts for all b - 1 of them."""
     b = len(cfg.boundary)
     checked = 0
     multi_sets = list(combinations(NONZERO_VECTORS, cfg.choice_multi_min))
-    for t in range(1, b):
-        for b0 in multi_sets:
-            for bt in multi_sets:
-                for singles in product(NONZERO_VECTORS, repeat=b - 2):
-                    checked += 1
-                    if not admits_choice(b, t, b0, bt, singles):
-                        labels = next(cfg.label_completions())
-                        return checked, Counterexample(
-                            "choice",
-                            labels,
-                            None,
-                            {
-                                "t": t,
-                                "multi_sets": [list(b0), list(bt)],
-                                "singles": list(singles),
-                            },
-                        )
-    return checked, None
+    for b0 in multi_sets:
+        for bt in multi_sets:
+            for singles in product(NONZERO_VECTORS, repeat=b - 2):
+                checked += 1
+                if not admits_choice(b, 1, b0, bt, singles):
+                    labels = next(cfg.label_completions())
+                    return checked, Counterexample(
+                        "choice",
+                        labels,
+                        None,
+                        {
+                            "t": 1,
+                            "multi_sets": [list(b0), list(bt)],
+                            "singles": list(singles),
+                        },
+                    )
+    return checked * (b - 1), None
+
+
+def _designated_count(
+    cfg: ReducibilityConfiguration, counts: Dict[tuple, int], options: tuple
+) -> int:
+    """The designated-value tuples the linking rule allows, memoized in
+    counts by the options tuple."""
+    count = counts.get(options)
+    if count is None:
+        count = counts[options] = sum(1 for _ in _designated_tuples(cfg, options))
+    return count
 
 
 def _scan_labels(
@@ -362,34 +408,32 @@ def _scan_labels(
 ) -> Tuple[int, int, Optional[Counterexample]]:
     """Scan complete label words; returns (labels, families, counterexample).
 
-    Each admissible word is decided from its witness set: a candidate-set
-    combination is stuck when no tuple of its product has an extension
-    into H.  Witness existence never depends on the designated values, so
-    those are only counted, and materialized for a counterexample.
+    Each admissible word is decided by `masks.walk` over the hit masks of
+    its witness patterns.  Witness existence never depends on the designated values,
+    so those are only counted, and materialized for a counterexample.
     """
     labels_checked = 0
     families_checked = 0
+    count = None if cfg.linking is None else partial(_designated_count, cfg, {})
     for labels in label_words:
         if not cfg.admissible(labels):
             continue
         labels_checked += 1
-        witnesses = _witness_set(cfg, labels)
-        for row in product(*_family_table(cfg, labels)):
-            csets, options = zip(*row)
-            if cfg.linking is None:
-                count = prod(map(len, options))
-            else:
-                count = sum(1 for _ in _designated_tuples(cfg, options))
-            if count == 0:
-                continue
-            families_checked += count
-            if witnesses.isdisjoint(product(*csets)):
-                first = next(_designated_tuples(cfg, options))
-                return (
-                    labels_checked,
-                    families_checked,
-                    Counterexample("main", labels, BoundaryFamily(csets, first)),
-                )
+        patterns = _witness_patterns(cfg, labels)
+        table = _family_table(cfg, labels)
+        if count is None:  # prod(len(options)) families: sets without options add none
+            table = [[entry for entry in level if entry[1]] for level in table]
+        hits = [[_hit_mask(patterns, i, c) for c, _ in level] for i, level in enumerate(table)]
+        families, stuck = masks.walk(table, hits, (1 << len(patterns)) - 1, count)
+        families_checked += families
+        if stuck is not None:
+            csets, options = stuck
+            first = next(_designated_tuples(cfg, options))
+            return (
+                labels_checked,
+                families_checked,
+                Counterexample("main", labels, BoundaryFamily(csets, first)),
+            )
     return labels_checked, families_checked, None
 
 

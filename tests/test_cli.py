@@ -17,6 +17,7 @@ from invdiam.graph import (
     serialize_labeled_graph,
 )
 from invdiam.inversion import DISTANCE_EDGE_BUDGET
+from invdiam.reducibility import builtin_configs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -328,6 +329,75 @@ class TestProbeFlow:
         return [n for n in check_doc["notes"] if n.startswith("FAIL")]
 
 
+def _claimed_choice(tmp_path, config, instance):
+    """The reducible C4_b row rewritten to claim a choice-stage
+    counterexample of `config`."""
+    cert = tmp_path / "reduce.json"
+    assert main(["reduce", "--config", "C4_b", "--out", str(cert), "--no-meta"]) == 0
+    doc = json.loads(cert.read_text())
+    doc["suite_pass"] = False
+    doc["configs"][0].update(
+        verdict="counterexample",
+        counterexample={
+            "config": config,
+            "mutation": None,
+            "stage": "choice",
+            "labels": "0" * builtin_configs()[config].graph.m,
+            "choice_instance": instance,
+        },
+    )
+    return doc
+
+
+def _shrunk_choice(tmp_path, **instance):
+    """The c4b-shrink-choice counterexample with its instance rewritten."""
+    cert = tmp_path / "reduce.json"
+    assert main(["reduce", "--mutate", "c4b-shrink-choice", "--out", str(cert), "--no-meta"]) == 1
+    doc = json.loads(cert.read_text())
+    doc["configs"][0]["counterexample"]["choice_instance"].update(instance)
+    return doc
+
+
+_SMALL_OR_ZERO = "choice instance needs nonzero vectors and multi sets of at least"
+_FORGED_CHOICES = {
+    "empty-multi-sets": (
+        lambda tmp: _claimed_choice(
+            tmp, "C4_b", {"t": 1, "multi_sets": [[], []], "singles": ["100", "010"]}
+        ),
+        f"FAIL: C4_b: {_SMALL_OR_ZERO} 2 distinct vectors",
+    ),
+    "other-config": (
+        lambda tmp: _claimed_choice(
+            tmp, "bridge", {"t": 1, "multi_sets": [[], []], "singles": ["100", "010"]}
+        ),
+        "FAIL: C4_b: counterexample is for bridge, not this row under mutation None",
+    ),
+    "document-unmutated": (
+        lambda tmp: {**_shrunk_choice(tmp), "mutation": None},
+        "FAIL: C4_b[c4b-shrink-choice]: counterexample is for C4_b[c4b-shrink-choice],"
+        " not this row under mutation None",
+    ),
+    "t-minus-1-extra-single": (
+        lambda tmp: _shrunk_choice(tmp, t=-1, singles=["100", "100", "100"]),
+        "FAIL: malformed certificate: a choice instance has 2 multi sets, 2 singles"
+        " and 1 <= t < 4",
+    ),
+    "extra-single": (
+        lambda tmp: _shrunk_choice(tmp, singles=["100", "100", "010"]),
+        "FAIL: malformed certificate: a choice instance has 2 multi sets, 2 singles"
+        " and 1 <= t < 4",
+    ),
+    "zero-vectors": (
+        lambda tmp: _shrunk_choice(tmp, multi_sets=[["000"], ["000"]], singles=["000", "000"]),
+        f"FAIL: C4_b[c4b-shrink-choice]: {_SMALL_OR_ZERO} 1 distinct vectors",
+    ),
+    "zero-singles": (
+        lambda tmp: _shrunk_choice(tmp, singles=["000", "000"]),
+        f"FAIL: C4_b[c4b-shrink-choice]: {_SMALL_OR_ZERO} 1 distinct vectors",
+    ),
+}
+
+
 class TestReduce:
     def test_single_config(self, capsys):
         code, doc = run_cli(capsys, "reduce", "--config", "P3", "--no-meta")
@@ -365,6 +435,35 @@ class TestReduce:
     def test_jobs_flag(self, capsys):
         code, doc = run_cli(capsys, "reduce", "--config", "P3", "--jobs", "2", "--no-meta")
         assert code == 0 and doc["suite_pass"]
+
+    @pytest.mark.parametrize(
+        "forge, note", list(_FORGED_CHOICES.values()), ids=list(_FORGED_CHOICES)
+    )
+    def test_forged_choice_counterexample_rejected(self, capsys, tmp_path, forge, note):
+        cert = tmp_path / "forged.json"
+        cert.write_text(json.dumps(forge(tmp_path)))
+        code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
+        assert code == 1 and not check_doc["valid"]
+        assert check_doc["notes"] == [note]
+
+    def test_choice_claim_without_choice_stage_rejected(self, capsys, tmp_path):
+        cert = tmp_path / "reduce.json"
+        assert main(["reduce", "--config", "bridge", "--out", str(cert), "--no-meta"]) == 0
+        doc = json.loads(cert.read_text())
+        doc["suite_pass"] = False
+        doc["configs"][0].update(
+            verdict="counterexample",
+            counterexample={
+                "config": "bridge",
+                "mutation": None,
+                "stage": "choice",
+                "labels": "00000",
+                "choice_instance": {"t": 1, "multi_sets": [[], []], "singles": []},
+            },
+        )
+        cert.write_text(json.dumps(doc))
+        code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
+        assert code == 1 and check_doc["notes"] == ["FAIL: bridge: no choice stage"]
 
     def test_all_configs_parallel(self, capsys, tmp_path):
         out = tmp_path / "suite.json"

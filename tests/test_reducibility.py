@@ -1,15 +1,29 @@
 import random
-from itertools import islice, product
+from dataclasses import replace
+from functools import reduce
+from itertools import combinations, islice, product
+from math import prod
+from operator import and_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from invdiam import gf2
 from invdiam.assignment import Assignment, verify
 from invdiam.certificates import check_family
 from invdiam.graph import Graph, Label
 from invdiam.reducibility import (
+    ALL_VECTORS,
+    EXCLUDE_ALWAYS,
+    EXCLUDE_IF_ALL_ZERO,
+    EXCLUDE_NEVER,
+    NONZERO_VECTORS,
     BoundaryFamily,
     BoundaryRule,
+    Counterexample,
     ReducibilityConfiguration,
+    admits_choice,
     apply_mutation,
     builtin_configs,
     builtin_mutations,
@@ -17,7 +31,14 @@ from invdiam.reducibility import (
     enumerate_families,
     run_suite,
 )
-from invdiam.reducibility import _scan_labels, _witness_set
+from invdiam.reducibility import (
+    _check_choice_stage,
+    _designated_tuples,
+    _family_table,
+    _hit_mask,
+    _scan_labels,
+    _witness_patterns,
+)
 
 
 def star_config(pendant_label, min_size=1, exclude="never"):
@@ -214,8 +235,14 @@ def _scan_cases():
     return cases
 
 
+def _stuck(patterns, candidates):
+    """The scan's predicate: no pattern is met by every candidate set."""
+    every = (1 << len(patterns)) - 1
+    return reduce(and_, (_hit_mask(patterns, i, c) for i, c in enumerate(candidates)), every) == 0
+
+
 class TestScanAgreesWithCheckFamily:
-    """The scan's witness-set decision against the independent backtracking
+    """The scan's hit-mask decision against the independent backtracking
     search of check_family, and its family count against the enumerator."""
 
     @pytest.mark.parametrize("cfg", _scan_cases(), ids=lambda cfg: cfg.name)
@@ -224,10 +251,10 @@ class TestScanAgreesWithCheckFamily:
         for labels in cfg.label_completions():
             if not cfg.admissible(labels):
                 continue
-            witnesses = _witness_set(cfg, labels)
+            patterns = _witness_patterns(cfg, labels)
             fams = list(enumerate_families(cfg, labels))
             for fam in rng.sample(fams, min(12, len(fams))):
-                stuck = witnesses.isdisjoint(product(*fam.candidates))
+                stuck = _stuck(patterns, fam.candidates)
                 assert stuck == (check_family(cfg, labels, fam) is None)
             _, count, cex = _scan_labels(cfg, [labels])
             if cex is None:
@@ -237,6 +264,188 @@ class TestScanAgreesWithCheckFamily:
             # yields, and the count runs through its candidate-set combination.
             assert cex.family == next(f for f in fams if check_family(cfg, labels, f) is None)
             assert count == sum(1 for f in fams if f.candidates <= cex.family.candidates)
+
+
+# -- the scan before witness patterns, kept as the reference ------------------
+
+
+def _reference_witness_set(cfg, labels):
+    """Boundary tuples (in boundary order, over all of F2^3) that extend to
+    an assignment of H satisfying every label, over all 8^|H| assignments."""
+    g = cfg.graph
+    pos = {v: i for i, v in enumerate(sorted(cfg.h_vertices))}
+    inner = [
+        (pos[u], pos[v], (labels >> e) & 1)
+        for e, (u, v) in enumerate(g.edges)
+        if u in pos and v in pos
+    ]
+    ties = [
+        [(pos[h], (labels >> g.edge_index(u, h)) & 1) for h in g.adjacency[u]]
+        for u in cfg.boundary
+    ]
+    witnesses = set()
+    for vectors in product(ALL_VECTORS, repeat=len(pos)):
+        if all(gf2.dot_bits(vectors[a], vectors[b]) == bit for a, b, bit in inner):
+            allowed = [
+                [w for w in ALL_VECTORS if all(gf2.dot_bits(w, vectors[h]) == bit for h, bit in tie)]
+                for tie in ties
+            ]
+            witnesses.update(product(*allowed))
+    return witnesses
+
+
+def _reference_scan(cfg, label_words):
+    """(labels, families, counterexample), testing each candidate-set
+    combination's product against the witness set.  Unlike the scan it
+    replaced, it also unpacks the one empty row of an empty boundary."""
+    labels_checked = 0
+    families_checked = 0
+    for labels in label_words:
+        if not cfg.admissible(labels):
+            continue
+        labels_checked += 1
+        witnesses = _reference_witness_set(cfg, labels)
+        for row in product(*_family_table(cfg, labels)):
+            csets, options = zip(*row) if row else ((), ())
+            if cfg.linking is None:
+                count = prod(map(len, options))
+            else:
+                count = sum(1 for _ in _designated_tuples(cfg, options))
+            if count == 0:
+                continue
+            families_checked += count
+            if witnesses.isdisjoint(product(*csets)):
+                first = next(_designated_tuples(cfg, options))
+                return (
+                    labels_checked,
+                    families_checked,
+                    Counterexample("main", labels, BoundaryFamily(csets, first)),
+                )
+    return labels_checked, families_checked, None
+
+
+def _reference_choice_stage(cfg):
+    """The choice stage with every partner t checked."""
+    b = len(cfg.boundary)
+    checked = 0
+    multi_sets = list(combinations(NONZERO_VECTORS, cfg.choice_multi_min))
+    for t in range(1, b):
+        for b0 in multi_sets:
+            for bt in multi_sets:
+                for singles in product(NONZERO_VECTORS, repeat=b - 2):
+                    checked += 1
+                    if not admits_choice(b, t, b0, bt, singles):
+                        return checked, (t, list(b0), list(bt), list(singles))
+    return checked, None
+
+
+def _pattern_union(patterns):
+    return {
+        tuple(w)
+        for pattern in patterns
+        for w in product(*([x for x in ALL_VECTORS if mask >> x & 1] for mask in pattern))
+    }
+
+
+def _reference_cases():
+    """Every builtin and every mutation control; bridge on one pinned word."""
+    configs = builtin_configs()
+    cases = list(configs.values())
+    cases += [apply_mutation(configs[m.config], name) for name, m in sorted(builtin_mutations().items())]
+    pinned = tuple((e, 0) for e in configs["bridge"].free_edges())
+    return [
+        replace(cfg, fixed_labels=cfg.fixed_labels + pinned) if cfg.name == "bridge" else cfg
+        for cfg in cases
+    ]
+
+
+class TestScanAgreesWithReference:
+    """The hit-mask scan against the tuple witness-set scan it replaced."""
+
+    @pytest.mark.parametrize("cfg", _reference_cases(), ids=lambda cfg: cfg.name)
+    def test_same_scan(self, cfg):
+        words = list(cfg.label_completions())
+        for labels in words:
+            assert _scan_labels(cfg, [labels]) == _reference_scan(cfg, [labels])
+            patterns = _witness_patterns(cfg, labels)
+            assert _pattern_union(patterns) == _reference_witness_set(cfg, labels)
+        assert _scan_labels(cfg, words) == _reference_scan(cfg, words)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_random_configurations(self, data):
+        cfg = data.draw(_small_configs())
+        words = list(cfg.label_completions())
+        for labels in words:
+            assert _pattern_union(_witness_patterns(cfg, labels)) == _reference_witness_set(
+                cfg, labels
+            )
+            assert _scan_labels(cfg, [labels]) == _reference_scan(cfg, [labels])
+        assert _scan_labels(cfg, words) == _reference_scan(cfg, words)
+
+    @pytest.mark.parametrize("multi_min", [1, 2, 3])
+    def test_choice_stage(self, multi_min):
+        cfg = replace(builtin_configs()["C4_b"], choice_multi_min=multi_min)
+        checked, failure = _check_choice_stage(cfg)
+        expected_checked, expected = _reference_choice_stage(cfg)
+        assert checked == expected_checked
+        if expected is None:
+            assert failure is None
+        else:
+            t, b0, bt, singles = expected
+            assert failure.choice_instance == {"t": t, "multi_sets": [b0, bt], "singles": singles}
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_choice_verdict_ignores_t_and_single_order(self, data):
+        b = data.draw(st.integers(3, 5))
+        vectors = st.sampled_from(ALL_VECTORS)
+        multi0, multi_t = (data.draw(st.lists(vectors, min_size=1, max_size=3)) for _ in "01")
+        singles = data.draw(st.lists(vectors, min_size=b - 2, max_size=b - 2))
+        verdict = admits_choice(b, 1, multi0, multi_t, singles)
+        t = data.draw(st.integers(1, b - 1))
+        shuffled = data.draw(st.permutations(singles))
+        assert admits_choice(b, t, multi0, multi_t, shuffled) == verdict
+
+
+@st.composite
+def _small_configs(draw):
+    """|H| <= 3, at most 3 boundary vertices, at most 2 free edges, random
+    rules, admissibility groups and linking rule."""
+    h = draw(st.integers(1, 3))
+    b = draw(st.integers(0, 3))
+    edges = [(u, v) for u, v in combinations(range(h), 2) if draw(st.booleans())]
+    for u in range(h, h + b):
+        ends = draw(st.lists(st.integers(0, h - 1), min_size=1, max_size=h, unique=True))
+        edges += [(v, u) for v in ends]
+    g = Graph(h + b, edges)
+    edge_ids = st.integers(0, g.m - 1)
+    free = set(draw(st.lists(edge_ids, max_size=2, unique=True))) if g.m else set()
+    fixed = tuple((e, draw(st.integers(0, 1))) for e in range(g.m) if e not in free)
+    groups = draw(st.lists(st.lists(edge_ids, min_size=1, max_size=2), max_size=2)) if g.m else []
+    rules = []
+    for u in range(h, h + b):
+        mode = draw(st.sampled_from([EXCLUDE_NEVER, EXCLUDE_ALWAYS, EXCLUDE_IF_ALL_ZERO]))
+        zero_edges = tuple(g.edge_index(u, v) for v in sorted(g.adjacency[u]))
+        rules.append(
+            BoundaryRule(
+                draw(st.integers(1, 3 if b < 3 else 2)),
+                mode,
+                zero_edges if mode == EXCLUDE_IF_ALL_ZERO else (),
+                include_zero=mode != EXCLUDE_ALWAYS and draw(st.booleans()),
+                designated_nonzero=draw(st.booleans()),
+            )
+        )
+    return ReducibilityConfiguration(
+        name="random",
+        graph=g,
+        h_vertices=tuple(range(h)),
+        boundary=tuple(range(h, h + b)),
+        fixed_labels=fixed,
+        required_one_groups=tuple(map(tuple, groups)),
+        rules=tuple(rules),
+        linking=draw(st.sampled_from([None, "equalize-to-first", "no-double-pair"])),
+    )
 
 
 class TestMutations:

@@ -11,12 +11,13 @@ Corpus: each corpus_n5 and outer-planar fixture graph, relabelled 1010...,
 through `assign --t 1..4`, `mindim`, `distance --oracle` (all-zero to the
 alternating orientation) and, if m <= 12, `diameter --engine both` and
 `bfs-diameter`; `search-hard --budget 256` and `search-hard --t-max 1
---budget 512` on each outer-planar file; `reduce --all` and the seven
-`reduce --mutate` controls; `family --k 2 --m 2` and `--m 3`; the stage-3
-and stage-4 k=2 family graphs (n=366 and n=3,282) written by
-`family --graph-out`, through `assign --t 3` (unsat) and `assign --t 4`,
-and the stage-3 graph through `mindim`; the families at (k, m) = (1, 1),
-(2, 2) and (3, 1) through `assign --t 2k-1` and `probe` on that witness.
+--budget 512` on each outer-planar file; `reduce --all`, `reduce --all
+--jobs 2` (the worker-pool path) and the seven `reduce --mutate` controls;
+`family --k 2 --m 2` and `--m 3`; the stage-3 and stage-4 k=2 family graphs
+(n=366 and n=3,282) written by `family --graph-out`, through `assign --t 3`
+(unsat) and `assign --t 4`, and the stage-3 graph through `mindim`; the
+families at (k, m) = (1, 1), (2, 2) and (3, 1) through `assign --t 2k-1` and
+`probe` on that witness.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ def main_corpus(out_dir: Path) -> None:
             ["search-hard", str(path), "--t-max", "1", "--budget", "512"],
         )
     run("reduce-all", ["reduce", "--all"])
+    run("reduce-all-jobs2", ["reduce", "--all", "--jobs", "2"])
     for mutation in sorted(builtin_mutations()):
         run(f"reduce-{mutation}", ["reduce", "--mutate", mutation])
     for m in (2, 3):
