@@ -93,8 +93,10 @@ class _SolveContext:
 
     `forward[p]` lists, for the vertex at position p, its (later position,
     edge index) pairs in ascending order: the equations a placement at p
-    adds to later systems.  The context holds no search state, so searches
-    on it may be abandoned or interleaved.
+    adds to later systems.  `incident[v]`, built on first use, holds the
+    indices of v's edges in the order of graph.adjacency[v], for witness
+    repair.  The context holds no search state, so searches on it may be
+    abandoned or interleaved.
     """
 
     def __init__(self, graph: Graph):
@@ -136,28 +138,50 @@ class _SolveContext:
             for p, v in enumerate(placed)
         ]
 
+    @functools.cached_property
+    def incident(self) -> List[Tuple[int, ...]]:
+        graph = self.graph
+        return [tuple(graph.edge_index(v, w) for w in graph.adjacency[v]) for v in range(graph.n)]
+
     def search(
         self,
         label_bits: int,
         t: int,
         deadline: Optional[float] = None,
         prefer: Optional[Sequence[int]] = None,
+        canonical: bool = False,
     ) -> Iterator[List[int]]:
         """Yield every valid assignment (words indexed by vertex), in order.
 
         Backtracking is complete: the candidate list at each vertex is
         exactly the affine solution set of its constraints against the
         assigned prefix, ascending (a preferred word, if given and legal,
-        is tried first).  Forward checking is incremental: each position
-        keeps the echelon rows of its equations against its placed
-        neighbours, a row being a word with the right-hand side in bit t
-        and its lowest set bit as pivot.  Placing vector x at a position
-        reduces the row x | label(e) << t into the echelon of each later
-        neighbour; a new pivot appends the row, and a row reduced to
-        0 = 1 prunes the branch as soon as the contradiction is
-        determined, not when the neighbour is reached.  A trail records
-        which positions gained a row, and each stack level marks the
-        trail's length, so backtracking pops rows back to that level.
+        is tried first).
+
+        With `canonical`, only coordinate-canonical assignments are
+        yielded, for callers that ask whether an assignment exists and keep
+        no witness.  Each stack level holds an ordered partition of the t
+        coordinates into runs, as a word with bit i set where a run starts;
+        the root has one run.  A candidate must be left-justified in every
+        run (its ones in a run come first, from the low coordinate), and
+        placing it splits each run where its ones end; once every run is a
+        single coordinate the filter passes everything.  This loses no
+        existence verdict: the placed vectors are constant on each run, so
+        permuting coordinates inside runs keeps them, and a permutation of
+        coordinates keeps every dot product.  Any assignment can thus be
+        made canonical vertex by vertex, in order.  The witness found is
+        in general not the plain search's first one.
+
+        Forward checking is incremental: each position keeps the echelon
+        rows of its equations against its placed neighbours, a row being a
+        word with the right-hand side in bit t and its lowest set bit as
+        pivot.  Placing vector x at a position reduces the row
+        x | label(e) << t into the echelon of each later neighbour; a new
+        pivot appends the row, and a row reduced to 0 = 1 prunes the branch
+        as soon as the contradiction is determined, not when the neighbour
+        is reached.  A trail records which positions gained a row, and each
+        stack level marks the trail's length, so backtracking pops rows
+        back to that level.
         """
         n = self.graph.n
         if n == 0:
@@ -173,6 +197,11 @@ class _SolveContext:
         trail: List[int] = []
         marks: List[int] = []
         stack: List[List[int]] = []
+        # Run starts per stack level, for canonical searches at t > 1; at a
+        # level whose runs are single coordinates (runs[p] == mask) the
+        # filter passes everything.
+        split = canonical and t > 1
+        runs: List[int] = [1] if split else []
         nodes = 0
 
         def candidates(p: int) -> List[int]:
@@ -180,6 +209,10 @@ class _SolveContext:
             # Independent rows with nonzero coefficients are always solvable.
             particular, basis = solve_bits([r & mask for r in rows], [r >> t for r in rows], t)
             cands = gf2.affine_solutions_bits(particular, basis)
+            if split and runs[p] != mask:
+                starts = runs[p]
+                # A run of ones may begin only where a coordinate run starts.
+                cands = [x for x in cands if not x & ~((x << 1) | starts)]
             if prefer is not None:
                 want = prefer[order[p]]
                 if want in cands:
@@ -200,6 +233,8 @@ class _SolveContext:
             if not top:
                 stack.pop()
                 marks.pop()
+                if split:
+                    runs.pop()
                 continue
             p = len(stack) - 1
             mark = marks[p]
@@ -221,6 +256,8 @@ class _SolveContext:
                 elif row:
                     break
             else:
+                if split:
+                    runs.append(runs[p] | (x << 1) & ~x & mask)
                 stack.append(candidates(p + 1))
                 marks.append(len(trail))
 
@@ -247,14 +284,34 @@ def _least(
     t_hi: int,
     prefer: Optional[Sequence[int]] = None,
     deadline: Optional[float] = None,
+    canonical: bool = False,
 ) -> Tuple[Optional[int], Optional[List[int]]]:
     """Least t in t_lo..t_hi admitting an assignment, with its first witness
-    (words indexed by vertex); (None, None) if every t fails."""
+    (words indexed by vertex; the first canonical one with `canonical`);
+    (None, None) if every t fails."""
     for t in range(t_lo, t_hi + 1):
-        words = next(ctx.search(bits, t, deadline, prefer), None)
+        words = next(ctx.search(bits, t, deadline, prefer, canonical), None)
         if words is not None:
             return t, words
     return None, None
+
+
+def _repair(ctx: _SolveContext, words: List[int], bits: int, edge: int, t: int) -> bool:
+    """Absorb a flip of `edge` into `words`, a witness at dimension t for
+    the label bits ^ (1 << edge): re-solve one endpoint's vector against its
+    neighbours' under `bits`, the first endpoint first.  Changes one word in
+    place and returns True, or returns False and changes nothing."""
+    graph = ctx.graph
+    for x in graph.edges[edge]:
+        sol = gf2.solve_bits(
+            [words[w] for w in graph.adjacency[x]],
+            [(bits >> e) & 1 for e in ctx.incident[x]],
+            t,
+        )
+        if sol is not None:
+            words[x] = sol[0]
+            return True
+    return False
 
 
 def solve(graph: Graph, label: Label, t: int) -> Optional[Assignment]:
@@ -298,12 +355,15 @@ def enumerate_assignments(
 
 
 def min_dim(graph: Graph, label: Label, t_max: int) -> Optional[int]:
-    """Least t in 0..t_max admitting an assignment; None if all fail."""
+    """Least t in 0..t_max admitting an assignment; None if all fail.
+
+    Decided by canonical searches (see _SolveContext.search), which keep no
+    witness; least_dim returns one."""
     _check_label(graph, label)
     _check_t(t_max)
     if label.bits == 0:
         return 0
-    return _least(_context(graph), label.bits, 1, t_max)[0]
+    return _least(_context(graph), label.bits, 1, t_max, canonical=True)[0]
 
 
 def least_dim(
@@ -339,24 +399,19 @@ def _walk_labels(ctx: _SolveContext, t_max: int) -> Tuple[Optional[int], int]:
     min_dim so far) and `words`, a witness at dimension `best` for label
     `words_bits`; lower-dimensional witnesses count, padded with zero
     coordinates.  When `words_bits` is the previous label, the new one
-    differs from it on one edge uv, and the witness is repaired by
-    re-solving u's vector against its neighbours' (then v's) under the new
-    label.  Otherwise, or if neither endpoint absorbs the flip, a search at
-    `best` preferring the old witness takes over, and only if that fails
-    does the search climb from best + 1, which sets a new record.
+    differs from it on one edge, and `_repair` tries to absorb the flip.
+    Otherwise, or if neither endpoint absorbs it, a search at `best`
+    preferring the old witness takes over, and only if that fails does the
+    search climb from best + 1, which sets a new record.
 
     Ties go to the numerically least label word: a label that fits in
-    `best` and undercuts the current hardest label replaces it when
-    best - 1 is refuted.  A label that needs more than t_max becomes
-    `over` and `best` becomes t_max; from then on only a smaller word can
-    change the answer, so every word above `over` is skipped and ties are
-    no longer checked.
+    `best` and undercuts the current hardest label replaces it when a
+    canonical search refutes best - 1.  A label that needs more than t_max
+    becomes `over` and `best` becomes t_max; from then on only a smaller
+    word can change the answer, so every word above `over` is skipped and
+    ties are no longer checked.
     """
     graph = ctx.graph
-    solve_bits = gf2.solve_bits
-    incident = [
-        [(w, graph.edge_index(v, w)) for w in graph.adjacency[v]] for v in range(graph.n)
-    ]
     best = 0
     best_label_bits = 0
     over: Optional[int] = None
@@ -369,16 +424,7 @@ def _walk_labels(ctx: _SolveContext, t_max: int) -> Tuple[Optional[int], int]:
         edge = (i & -i).bit_length() - 1
         # Repair only a witness of the previous label; a skipped label or one
         # beyond t_max leaves an older one.
-        for x in graph.edges[edge] if words_bits == bits ^ (1 << edge) else ():
-            sol = solve_bits(
-                [words[w] for w, _ in incident[x]],
-                [(bits >> e) & 1 for _, e in incident[x]],
-                best,
-            )
-            if sol is not None:
-                words[x] = sol[0]
-                break
-        else:
+        if words_bits != bits ^ (1 << edge) or not _repair(ctx, words, bits, edge, best):
             found = next(ctx.search(bits, best, prefer=words), None)
             if found is None:
                 found_t, found = _least(ctx, bits, best + 1, t_max, prefer=words)
@@ -392,7 +438,7 @@ def _walk_labels(ctx: _SolveContext, t_max: int) -> Tuple[Optional[int], int]:
         if (
             over is None
             and bits < best_label_bits
-            and next(ctx.search(bits, best - 1), None) is None
+            and next(ctx.search(bits, best - 1, canonical=True), None) is None
         ):
             best_label_bits = bits
     return (best, best_label_bits) if over is None else (None, over)
@@ -440,6 +486,32 @@ def _score(dim: Optional[int]) -> int:
     return 10**9 if dim is None else dim
 
 
+_Evaluation = Tuple[Optional[int], Optional[List[int]]]
+
+
+def _flip_dim(
+    ctx: _SolveContext, bits: int, edge: int, d0: int, words0: List[int], t_max: int
+) -> _Evaluation:
+    """min_dim of `bits` (None beyond t_max) with a witness, given words0,
+    a witness at d0 >= 1, the exact min_dim of bits ^ (1 << edge).
+
+    One flipped edge moves min_dim by at most one.  `_repair`, or else a
+    search at d0 preferring words0, decides whether bits fits in d0; if not,
+    the climb from d0 + 1 preferring words0 gives the answer.  A fit at
+    d0 > 1 is settled by one canonical search at d0 - 1.
+    """
+    words: Optional[List[int]] = list(words0)
+    if not _repair(ctx, words, bits, edge, d0):
+        words = next(ctx.search(bits, d0, prefer=words0), None)
+        if words is None:
+            return _least(ctx, bits, d0 + 1, t_max, prefer=words0)
+    if d0 > 1:
+        lower = next(ctx.search(bits, d0 - 1, canonical=True), None)
+        if lower is not None:
+            return d0 - 1, lower
+    return d0, words
+
+
 def hardest_label(
     graph: Graph, t_max: int, budget: int, seed: int = 0
 ) -> HardestResult:
@@ -453,6 +525,12 @@ def hardest_label(
     label as the starting best.  Deterministic for a fixed seed; ties
     prefer the numerically least label word.  The witness is solve's for
     the label at dim.
+
+    The climb keeps a witness with each evaluated label, and evaluates a
+    neighbour of a label at dimension d0 >= 1 from that label's witness
+    (`_flip_dim`).  The start, restarts and the neighbours of labels at
+    dimension 0 or beyond t_max are evaluated by canonical searches from
+    t = 1.
     """
     _check_t(t_max)
     m = graph.m
@@ -460,48 +538,67 @@ def hardest_label(
     ctx = _context(graph)
     if (1 << m) <= budget:
         dim, bits = _walk_labels(ctx, t_max)
-        witness = None
-        if dim is not None:
-            witness = Assignment.from_bits(graph, dim, _least(ctx, bits, dim, dim)[1])
-        return HardestResult(Label(graph, bits), dim, True, 1 << m, witness)
+        exhaustive, evaluations = True, 1 << m
+    else:
+        dim, bits, evaluations = _climb(ctx, t_max, budget, seed)
+        exhaustive = False
+    witness = None
+    if dim is not None:
+        witness = Assignment.from_bits(graph, dim, _least(ctx, bits, dim, dim)[1])
+    return HardestResult(Label(graph, bits), dim, exhaustive, evaluations, witness)
 
-    zeros = [0] * graph.n
-    evaluated: Dict[int, Optional[int]] = {}
-    best_bits, best_dim, best_words = 0, 0, zeros
 
-    def evaluate(bits: int) -> Optional[int]:
-        nonlocal best_bits, best_dim, best_words
+def _climb(
+    ctx: _SolveContext, t_max: int, budget: int, seed: int
+) -> Tuple[Optional[int], int, int]:
+    """hardest_label's hill-climb: (dim, label word, evaluations)."""
+    m = ctx.graph.m
+    zeros = [0] * ctx.graph.n
+    evaluated: Dict[int, _Evaluation] = {}
+    best_bits, best_dim = 0, 0
+
+    def evaluate(bits: int, edge: int = -1, base: _Evaluation = (None, None)) -> _Evaluation:
+        """Evaluate bits, from `base`, the evaluation of bits ^ (1 << edge),
+        when that is at a dimension d0 >= 1 (and so has a witness)."""
+        nonlocal best_bits, best_dim
         if bits not in evaluated:
-            d, words = _least(ctx, bits, 1, t_max) if bits else (0, zeros)
-            evaluated[bits] = d
+            d0, words0 = base
+            if not bits:
+                found: _Evaluation = (0, zeros)
+            elif d0:
+                found = _flip_dim(ctx, bits, edge, d0, words0, t_max)
+            else:
+                found = _least(ctx, bits, 1, t_max, canonical=True)
+            evaluated[bits] = found
+            d = found[0]
             if _score(d) > _score(best_dim) or (
                 _score(d) == _score(best_dim) and bits < best_bits
             ):
-                best_bits, best_dim, best_words = bits, d, words
+                best_bits, best_dim = bits, d
         return evaluated[bits]
 
     rng = random.Random(seed)
     current = rng.getrandbits(m)
-    current_dim = evaluate(current)
+    current_eval = evaluate(current)
     stall = 0
     attempts = 0
     while len(evaluated) < budget and attempts < 64 * budget:
         attempts += 1
-        neighbor = current ^ (1 << rng.randrange(m))
-        d = evaluate(neighbor)
-        if _score(d) >= _score(current_dim):
-            improved = _score(d) > _score(current_dim)
-            current, current_dim = neighbor, d
+        edge = rng.randrange(m)
+        neighbor = current ^ (1 << edge)
+        found = evaluate(neighbor, edge, current_eval)
+        if _score(found[0]) >= _score(current_eval[0]):
+            improved = _score(found[0]) > _score(current_eval[0])
+            current, current_eval = neighbor, found
             if improved:
                 stall = 0
                 continue
         stall += 1
         if stall > 3 * m:
             current = rng.getrandbits(m)
-            current_dim = evaluate(current)
+            current_eval = evaluate(current)
             stall = 0
-    witness = None if best_dim is None else Assignment.from_bits(graph, best_dim, best_words)
-    return HardestResult(Label(graph, best_bits), best_dim, False, len(evaluated), witness)
+    return best_dim, best_bits, len(evaluated)
 
 
 def assignment_to_inversions(assignment: Assignment) -> List[List[int]]:

@@ -538,6 +538,65 @@ def _reference_search(graph, label_bits, t, prefer, nodes):
             stack.append(nxt)
 
 
+def _reference_hardest(graph, t_max, budget, seed):
+    """hardest_label's hill-climb with every label evaluated cold: least_dim
+    from t = 1, and the first witness of the best label kept.  For 2^|E| >
+    budget; returns (label word, dim, evaluations, witness)."""
+    m = graph.m
+    evaluated = {}
+    best = [0, 0, Assignment.from_bits(graph, 0, [0] * graph.n)]
+
+    def score(d):
+        return 10**9 if d is None else d
+
+    def evaluate(bits):
+        if bits not in evaluated:
+            d, witness = least_dim(graph, Label(graph, bits), t_max)
+            evaluated[bits] = d
+            if score(d) > score(best[1]) or (score(d) == score(best[1]) and bits < best[0]):
+                best[:] = bits, d, witness
+        return evaluated[bits]
+
+    rng = random.Random(seed)
+    current = rng.getrandbits(m)
+    current_dim = evaluate(current)
+    stall = 0
+    attempts = 0
+    while len(evaluated) < budget and attempts < 64 * budget:
+        attempts += 1
+        neighbor = current ^ (1 << rng.randrange(m))
+        d = evaluate(neighbor)
+        if score(d) >= score(current_dim):
+            improved = score(d) > score(current_dim)
+            current, current_dim = neighbor, d
+            if improved:
+                stall = 0
+                continue
+        stall += 1
+        if stall > 3 * m:
+            current = rng.getrandbits(m)
+            current_dim = evaluate(current)
+            stall = 0
+    return best[0], best[1], len(evaluated), best[2]
+
+
+def _is_canonical(order, words, t):
+    """Whether the vectors, read along order, are each left-justified in
+    every run of the coordinate partition that the earlier ones refined:
+    the partition starts as one run, and each vector splits every run into
+    its ones and its zeros."""
+    runs = [list(range(t))] if t else []
+    for v in order:
+        refined = []
+        for run in runs:
+            ones = [i for i in run if (words[v] >> i) & 1]
+            if ones != run[: len(ones)]:
+                return False
+            refined += [part for part in (run[: len(ones)], run[len(ones) :]) if part]
+        runs = refined
+    return True
+
+
 class TestVertexOrder:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(graphs())
@@ -606,6 +665,32 @@ class TestSearchTree:
             got, _ = solve_with_deadline(lg.graph, lg.label, t, 1.0)
         assert (got, counted[0]) == (verdict, nodes)
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(graphs(max_n=8, max_m=14), st.integers(0, 4), st.data())
+    def test_canonical_is_filtered_plain_search(self, g, t, data):
+        """The canonical yields are the plain ones that are canonical along
+        the vertex order, in the same order, up to a cap on the plain
+        yields; and one exists iff any assignment does."""
+        label_bits = data.draw(st.integers(0, (1 << g.m) - 1))
+        ctx = _SolveContext(g)
+        cap = 2000
+        plain = list(islice(ctx.search(label_bits, t), cap))
+        expected = [words for words in plain if _is_canonical(ctx.order, words, t)]
+        canonical = ctx.search(label_bits, t, canonical=True)
+        assert list(islice(canonical, len(expected))) == expected
+        if len(plain) < cap:
+            assert next(canonical, None) is None
+        assert bool(expected) == bool(plain)
+
+    def test_canonical_family_node_count(self):
+        # The plain refutation of stage 3 at t = 3 takes 3,176 nodes
+        # (test_family_node_counts); coordinate symmetry leaves 545.
+        lg = build_family(2, 3, 0)
+        ctx = _SolveContext(lg.graph)
+        with _counting_nodes() as counted:
+            assert next(ctx.search(lg.label.bits, 3, 1.0, canonical=True), None) is None
+        assert counted[0] == 545
+
     def test_timeout_leaves_no_search_state(self):
         lg = build_family(2, 4, 0)
         g, lab = lg.graph, lg.label
@@ -614,6 +699,38 @@ class TestSearchTree:
         assert solve_with_deadline(g, lab, 3, time.monotonic() + 600) == ("unsat", None)
         fresh = next(_SolveContext(g).search(lab.bits, 4))
         assert solve(g, lab, 4) == Assignment.from_bits(g, 4, fresh)
+
+
+@st.composite
+def climb_graphs(draw):
+    """A random graph on 4 to 9 vertices with 4 to 16 edges."""
+    n = draw(st.integers(4, 9))
+    pairs = list(combinations(range(n), 2))
+    m = draw(st.integers(4, min(16, len(pairs))))
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, min_size=m, max_size=m)))
+
+
+class TestClimbMatchesReference:
+    @staticmethod
+    def check(g, t_max, budget, seed):
+        result = hardest_label(g, t_max, budget, seed)
+        assert not result.exhaustive
+        got = (result.label.bits, result.dim, result.evaluations, result.witness)
+        assert got == _reference_hardest(g, t_max, budget, seed)
+
+    # t_max is drawn from a list that starts at 4, because hypothesis favours
+    # a list's first entry, and at t_max = 1 most labels lie beyond t_max.
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(climb_graphs(), st.sampled_from([4, 3, 5, 2, 1]), st.integers(0, 9), st.data())
+    def test_same_result_as_cold_climb(self, g, t_max, seed, data):
+        """Label, dim, evaluation count and witness equal those of a climb
+        that evaluates every label from scratch."""
+        self.check(g, t_max, data.draw(st.integers(1, min(120, (1 << g.m) - 1))), seed)
+
+    def test_outerplanar_fixtures(self, outerplanar_corpus):
+        # Longer climbs, with restarts, at the diameter workload's t_max.
+        for g in [g for g in outerplanar_corpus if 1 << g.m > 200][::4]:
+            self.check(g, 4, 200, 1)
 
 
 @st.composite

@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 
 from invdiam import gf2
-from invdiam.assignment import assignment_to_inversions, hardest_label, min_dim, solve
+from invdiam.assignment import (
+    assignment_to_inversions,
+    hardest_label,
+    least_dim,
+    min_dim,
+    solve,
+)
 from invdiam.certificates import levels_to_text
 from invdiam.cli import main
 from invdiam.family import build_family
@@ -98,7 +104,9 @@ class TestSingleSearch:
 
         monkeypatch.setattr(gf2, "solve_bits", counted)
         graph, label = parse_labeled_graph(C4)
-        assert min_dim(graph, label, graph.m) == 2
+        # The baseline is least_dim, min_dim with its witness: min_dim itself
+        # searches only canonical assignments, a different tree.
+        assert least_dim(graph, label, graph.m)[0] == 2
         expected, calls[0] = calls[0], 0
         if command == "mindim":
             code, doc = run_cli(capsys, "mindim", c4_file, "--no-meta")

@@ -10,8 +10,9 @@ checkouts with `diff -r` on their directories:
 Corpus: each corpus_n5 and outer-planar fixture graph, relabelled 1010...,
 through `assign --t 1..4`, `mindim`, `distance --oracle` (all-zero to the
 alternating orientation) and, if m <= 12, `diameter --engine both` and
-`bfs-diameter`; `search-hard --budget 256` and `search-hard --t-max 1
---budget 512` on each outer-planar file; `reduce --all`, `reduce --all
+`bfs-diameter`; `search-hard --budget 256`, `search-hard --t-max 1
+--budget 512` and `search-hard --seed 3 --budget 1024` (longer climbs,
+with restarts) on each outer-planar file; `reduce --all`, `reduce --all
 --jobs 2` (the worker-pool path) and the seven `reduce --mutate` controls;
 `family --k 2 --m 2` and `--m 3`; the stage-3 and stage-4 k=2 family graphs
 (n=366 and n=3,282) written by `family --graph-out`, through `assign --t 3`
@@ -78,6 +79,10 @@ def main_corpus(out_dir: Path) -> None:
         run(
             f"{path.stem}.search-hard-t1",
             ["search-hard", str(path), "--t-max", "1", "--budget", "512"],
+        )
+        run(
+            f"{path.stem}.search-hard-seed3",
+            ["search-hard", str(path), "--seed", "3", "--budget", "1024"],
         )
     run("reduce-all", ["reduce", "--all"])
     run("reduce-all-jobs2", ["reduce", "--all", "--jobs", "2"])
