@@ -377,6 +377,24 @@ def _check_reduce(doc: dict, res: CheckResult) -> None:
         if row["verdict"] == "reducible":
             if cex is not None:
                 res.fail(f"{row['name']}: reducible verdict carries a counterexample")
+                continue
+            # Re-derived on the builtin the row names, under the document's mutation.
+            cfg = configs.get(row["name"].split("[")[0])
+            if cfg is not None and doc["mutation"] is not None:
+                cfg = reducibility.apply_mutation(cfg, doc["mutation"])
+            if not res.require(
+                cfg is not None and cfg.name == row["name"],
+                f"{row['name']}: no builtin configuration of this name"
+                f" under mutation {doc['mutation']!r}",
+            ):
+                continue
+            report = reducibility.check_reducible(cfg)
+            res.require(
+                (report.verdict, report.label_count, report.family_count)
+                == ("reducible", row["label_count"], row["family_count"]),
+                f"{row['name']}: re-derived as {report.verdict} with"
+                f" {report.label_count} labels and {report.family_count} families",
+            )
             continue
         if not res.require(cex is not None, f"{row['name']}: counterexample missing"):
             continue

@@ -15,11 +15,13 @@ forced members are kept and the rest filled up to that minimum.
 Vectors of F2^3 are handled as 8-bit masks.  Each admissible label word is
 decided from its witness patterns: per assignment of H, the mask of the
 vectors each boundary vertex may take.  A candidate set's hit mask marks
-the patterns it meets at its vertex, and a candidate-set combination is
-stuck when the AND of its hit masks is 0.  `masks.walk` visits the
-combinations in lexicographic order carrying that AND; without a linking
-rule, a subtree whose every completion stays nonzero is counted from the
-per-vertex table of designated-value options without being entered.
+the patterns it meets at its vertex (the OR of its members' per-value
+masks), and a candidate-set combination is stuck when the AND of its hit
+masks is 0.  `masks.walk` visits the combinations in lexicographic order
+carrying that AND; a subtree whose every completion stays nonzero is
+counted without being entered, from the per-vertex table of
+designated-value options, or under a linking rule from how many entries
+of each later vertex offer each designated value.
 
 This module only emits verdicts and holds no backtracking search.  Single
 families are re-checked by `certificates.check_family`, which runs the
@@ -33,7 +35,8 @@ import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
+from math import prod
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2, masks
@@ -297,23 +300,9 @@ def _witness_patterns(cfg: ReducibilityConfiguration, labels: int) -> List[Tuple
     ]
     assignments: List[Tuple[int, ...]] = [()]
     for edges in earlier:
-        assignments = [
-            a + (x,)
-            for a in assignments
-            for allowed in (_allowed(a, edges),)
-            for x in ALL_VECTORS
-            if allowed >> x & 1
-        ]
+        assignments = [a + (x,) for a in assignments for x in masks.MEMBERS[_allowed(a, edges)]]
     patterns = {tuple(_allowed(a, tie) for tie in ties) for a in assignments}
     return sorted(p for p in patterns if all(p))
-
-
-def _hit_mask(patterns: Sequence[Tuple[int, ...]], i: int, cset: Sequence[int]) -> int:
-    """Bit j is set iff the candidate set meets patterns[j] at boundary
-    vertex i.  A combination of candidate sets has a witness iff the AND
-    of their hit masks is nonzero."""
-    members = sum(1 << v for v in cset)
-    return sum(1 << j for j, pattern in enumerate(patterns) if pattern[i] & members)
 
 
 @dataclass(frozen=True)
@@ -368,12 +357,20 @@ def _check_choice_stage(
 
     admits_choice tests the sorted values, so its verdict depends neither
     on t nor on the order of the singles: the pass at t = 1 decides every
-    t, and a clean pass counts for all b - 1 of them."""
+    t, and a clean pass counts for all b - 1 of them.  Each pair (b0, bt)
+    tests every sorted multiset of singles once; only a pair with a
+    failing multiset walks its tuples in order, to the first failure."""
     b = len(cfg.boundary)
     checked = 0
     multi_sets = list(combinations(NONZERO_VECTORS, cfg.choice_multi_min))
     for b0 in multi_sets:
         for bt in multi_sets:
+            if all(
+                admits_choice(b, 1, b0, bt, singles)
+                for singles in combinations_with_replacement(NONZERO_VECTORS, b - 2)
+            ):
+                checked += len(NONZERO_VECTORS) ** (b - 2)
+                continue
             for singles in product(NONZERO_VECTORS, repeat=b - 2):
                 checked += 1
                 if not admits_choice(b, 1, b0, bt, singles):
@@ -392,13 +389,20 @@ def _check_choice_stage(
 
 
 def _designated_count(
-    cfg: ReducibilityConfiguration, counts: Dict[tuple, int], options: tuple
+    cfg: ReducibilityConfiguration, counts: Dict[tuple, int], options: tuple, later: tuple
 ) -> int:
-    """The designated-value tuples the linking rule allows, memoized in
-    counts by the options tuple."""
-    count = counts.get(options)
+    """The families below a prefix of candidate sets with designated-value
+    options `options`: the designated tuples the linking rule allows, each
+    weighted by how many entries of each later level offer its value there
+    (`later`, as in `masks.walk`).  Memoized in counts by (options, later)."""
+    key = (options, later)
+    count = counts.get(key)
     if count is None:
-        count = counts[options] = sum(1 for _ in _designated_tuples(cfg, options))
+        weights = [dict(pairs) for pairs in later]
+        count = counts[key] = sum(
+            prod(w[v] for w, v in zip(weights, designated[len(options):]))
+            for designated in _designated_tuples(cfg, options + tuple(map(tuple, weights)))
+        )
     return count
 
 
@@ -409,8 +413,10 @@ def _scan_labels(
     """Scan complete label words; returns (labels, families, counterexample).
 
     Each admissible word is decided by `masks.walk` over the hit masks of
-    its witness patterns.  Witness existence never depends on the designated values,
-    so those are only counted, and materialized for a counterexample.
+    its witness patterns.  Witness existence never depends on the
+    designated values, so those are only counted (under a linking rule by
+    `_designated_count`, a whole subtree at a time), and materialized for
+    a counterexample.
     """
     labels_checked = 0
     families_checked = 0
@@ -420,10 +426,9 @@ def _scan_labels(
             continue
         labels_checked += 1
         patterns = _witness_patterns(cfg, labels)
-        table = _family_table(cfg, labels)
-        if count is None:  # prod(len(options)) families: sets without options add none
-            table = [[entry for entry in level if entry[1]] for level in table]
-        hits = [[_hit_mask(patterns, i, c) for c, _ in level] for i, level in enumerate(table)]
+        # A candidate set without designated-value options has no families.
+        table = [[entry for entry in level if entry[1]] for level in _family_table(cfg, labels)]
+        hits = masks.hit_masks(patterns, table)
         families, stuck = masks.walk(table, hits, (1 << len(patterns)) - 1, count)
         families_checked += families
         if stuck is not None:

@@ -438,7 +438,30 @@ class TestReduce:
         out.write_text(json.dumps(doc))
         code, check_doc = run_cli(capsys, "check", str(out), "--no-meta")
         assert code == 1 and not check_doc["valid"]
-        assert check_doc["notes"] == ["FAIL: suite_pass differs from the row verdicts"]
+        assert check_doc["notes"] == [
+            "FAIL: suite_pass differs from the row verdicts",
+            "FAIL: P3[p3-drop-min-size]: re-derived as counterexample with 1 labels and 1 families",
+        ]
+
+    def test_forged_reducible_row_rejected(self, capsys, tmp_path):
+        out = tmp_path / "reduce.json"
+        assert main(["reduce", "--mutate", "k23-drop-min-size", "--out", str(out), "--no-meta"]) == 1
+        doc = json.loads(out.read_text())
+        doc["suite_pass"] = True
+        del doc["configs"][0]["counterexample"]
+        doc["configs"][0].update(verdict="reducible", family_count=12345)
+        out.write_text(json.dumps(doc))
+        code, check_doc = run_cli(capsys, "check", str(out), "--no-meta")
+        assert code == 1 and not check_doc["valid"]
+        assert check_doc["notes"] == [
+            "FAIL: K23[k23-drop-min-size]: re-derived as counterexample with 1 labels and 1 families"
+        ]
+        doc["configs"][0]["name"] = "K23"
+        out.write_text(json.dumps(doc))
+        code, check_doc = run_cli(capsys, "check", str(out), "--no-meta")
+        assert code == 1 and check_doc["notes"] == [
+            "FAIL: K23: no builtin configuration of this name under mutation 'k23-drop-min-size'"
+        ]
 
     def test_jobs_flag(self, capsys):
         code, doc = run_cli(capsys, "reduce", "--config", "P3", "--jobs", "2", "--no-meta")

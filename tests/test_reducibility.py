@@ -35,7 +35,6 @@ from invdiam.reducibility import (
     _check_choice_stage,
     _designated_tuples,
     _family_table,
-    _hit_mask,
     _scan_labels,
     _witness_patterns,
 )
@@ -235,6 +234,13 @@ def _scan_cases():
     return cases
 
 
+def _hit_mask(patterns, i, cset):
+    """Bit j is set iff the candidate set meets patterns[j] at boundary
+    vertex i, by a scan of every pattern."""
+    members = sum(1 << v for v in cset)
+    return sum(1 << j for j, pattern in enumerate(patterns) if pattern[i] & members)
+
+
 def _stuck(patterns, candidates):
     """The scan's predicate: no pattern is met by every candidate set."""
     every = (1 << len(patterns)) - 1
@@ -395,6 +401,15 @@ class TestScanAgreesWithReference:
             t, b0, bt, singles = expected
             assert failure.choice_instance == {"t": t, "multi_sets": [b0, bt], "singles": singles}
 
+    @pytest.mark.parametrize("b", [3, 5])
+    def test_choice_stage_other_boundary_sizes(self, b):
+        # With three or five values no tuple is a double pair, so every
+        # pair (b0, bt) is counted from its multisets alone.
+        cfg = replace(_star(b), choice_stage=True, choice_multi_min=1)
+        checked, failure = _check_choice_stage(cfg)
+        assert (checked, failure) == _reference_choice_stage(cfg)
+        assert checked == 7**b * (b - 1)
+
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.data())
     def test_choice_verdict_ignores_t_and_single_order(self, data):
@@ -408,12 +423,30 @@ class TestScanAgreesWithReference:
         assert admits_choice(b, t, multi0, multi_t, shuffled) == verdict
 
 
+def _star(b):
+    """One inner vertex joined to b boundary vertices, every label 1."""
+    g = Graph(b + 1, [(0, u) for u in range(1, b + 1)])
+    return ReducibilityConfiguration(
+        name=f"star{b}",
+        graph=g,
+        h_vertices=(0,),
+        boundary=tuple(range(1, b + 1)),
+        fixed_labels=tuple((e, 1) for e in range(g.m)),
+        rules=tuple(BoundaryRule(1) for _ in range(b)),
+    )
+
+
 @st.composite
 def _small_configs(draw):
     """|H| <= 3, at most 3 boundary vertices, at most 2 free edges, random
-    rules, admissibility groups and linking rule."""
-    h = draw(st.integers(1, 3))
-    b = draw(st.integers(0, 3))
+    rules, admissibility groups and linking rule.  The no-double-pair rule
+    needs four values to reject anything, so its draws have |H| <= 2 and
+    four boundary vertices, all with singleton candidate sets but the
+    first, whose sets have at most two vectors."""
+    linking = draw(st.sampled_from([None, "equalize-to-first", "no-double-pair"]))
+    four = linking == "no-double-pair"
+    h = draw(st.integers(1, 2 if four else 3))
+    b = 4 if four else draw(st.integers(0, 3))
     edges = [(u, v) for u, v in combinations(range(h), 2) if draw(st.booleans())]
     for u in range(h, h + b):
         ends = draw(st.lists(st.integers(0, h - 1), min_size=1, max_size=h, unique=True))
@@ -429,7 +462,7 @@ def _small_configs(draw):
         zero_edges = tuple(g.edge_index(u, v) for v in sorted(g.adjacency[u]))
         rules.append(
             BoundaryRule(
-                draw(st.integers(1, 3 if b < 3 else 2)),
+                draw(st.integers(1, 1 if four and u > h else 3 if b < 3 else 2)),
                 mode,
                 zero_edges if mode == EXCLUDE_IF_ALL_ZERO else (),
                 include_zero=mode != EXCLUDE_ALWAYS and draw(st.booleans()),
@@ -444,7 +477,7 @@ def _small_configs(draw):
         fixed_labels=fixed,
         required_one_groups=tuple(map(tuple, groups)),
         rules=tuple(rules),
-        linking=draw(st.sampled_from([None, "equalize-to-first", "no-double-pair"])),
+        linking=linking,
     )
 
 

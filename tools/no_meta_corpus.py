@@ -13,7 +13,8 @@ alternating orientation) and, if m <= 12, `diameter --engine both` and
 `bfs-diameter`; `search-hard --budget 256`, `search-hard --t-max 1
 --budget 512` and `search-hard --seed 3 --budget 1024` (longer climbs,
 with restarts) on each outer-planar file; `reduce --all`, `reduce --all
---jobs 2` (the worker-pool path) and the seven `reduce --mutate` controls;
+--jobs 2` (the worker-pool path) and the seven `reduce --mutate` controls,
+with `check` on the `k23-drop-min-size` control forged into a reducible row;
 `family --k 2 --m 2` and `--m 3`; the stage-3 and stage-4 k=2 family graphs
 (n=366 and n=3,282) written by `family --graph-out`, through `assign --t 3`
 (unsat) and `assign --t 4`, and the stage-3 graph through `mindim`; the
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 import traceback
@@ -88,6 +90,12 @@ def main_corpus(out_dir: Path) -> None:
     run("reduce-all-jobs2", ["reduce", "--all", "--jobs", "2"])
     for mutation in sorted(builtin_mutations()):
         run(f"reduce-{mutation}", ["reduce", "--mutate", mutation])
+    forged = json.loads(Path("reduce-k23-drop-min-size.json").read_text())
+    forged["suite_pass"] = True
+    del forged["configs"][0]["counterexample"]
+    forged["configs"][0].update(verdict="reducible", family_count=12345)
+    Path("reduce-k23-forged-reducible.json").write_text(json.dumps(forged))
+    run("reduce-k23-forged-reducible.check", ["check", "reduce-k23-forged-reducible.json"])
     for m in (2, 3):
         run(f"family-k2-m{m}", ["family", "--k", "2", "--m", str(m)])
     for m in (3, 4):
