@@ -4,15 +4,25 @@ Every independent check lives here, and all of them that search run one
 domain-filtering search (`_search`) that shares no code with the solver or
 the reducibility scan.  Embedded witnesses (assignments, inversion
 sequences) are checked directly.  Claims that no t-dimensional assignment
-exists (unsat and exceeds verdicts, and the lower bound t-1 behind every
-least dimension, distance and diameter) are re-searched by `refute` for t
-up to REFUTE_MAX_DIM; above that, or past REFUTE_NODE_CAP search nodes,
-they are accepted with an explanatory note.  Counterexample families are
-re-searched by `check_family`.  Diameters on at most DIAMETER_EDGE_BUDGET
-edges are re-derived by the engine that did not produce them, and so are
-the label and min_dim of a search-hard entry whose labels all fit its
-budget, from all BFS distances.  A reduce document's suite_pass must match
-its row verdicts.
+exists (unsat and exceeds verdicts, and the lower bound d-1 behind every
+least dimension d) are re-searched by `refute` for t up to REFUTE_MAX_DIM;
+above that, or past REFUTE_NODE_CAP search nodes, they are accepted with a
+note.  Every least dimension (mindim, distance, the assignment diameter,
+search-hard entries) goes through `_check_least`, which also rejects a d
+above the label's weight.  Diameters on at most DIAMETER_EDGE_BUDGET edges
+are re-derived by the engine that did not produce them, and so are the
+label and min_dim of a search-hard entry whose labels all fit its budget,
+from all BFS distances.
+
+Documents the CLI builds deterministically are rebuilt by the same writer
+and compared whole: family documents (apart from files and meta) by
+`family_json`, probe reports by `probe_reports_json`, and reduce rows
+(apart from wall_s) by `reduce_row_json` on a new `check_reducible` run
+of the configuration the row names under the document's mutation.  A
+reduce counterexample is then confirmed independently of the scan:
+`check_family` re-searches a main-stage family, `admits_choice` re-tests a
+choice-stage instance.  A reduce document's suite_pass must match its row
+verdicts.
 """
 
 from __future__ import annotations
@@ -21,10 +31,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import reducibility
 from .assignment import Assignment, diameter_via_assignment, verify
-from .errors import InputFormatError
+from .errors import BudgetExceededError, InputFormatError
 from .family import LeveledGraph, build_family, reconstruct_leveled
 from .family import probe_bad_cliques, probe_clique_independence, probe_extension_dichotomy
-from .gf2 import text_to_word, word_to_text
+from .gf2 import word_to_text
 from .graph import Graph, Label, Orientation, parse_labeled_graph, serialize_labeled_graph
 from .inversion import DIAMETER_EDGE_BUDGET, bfs_all_distances, bfs_diameter, invert
 
@@ -154,42 +164,57 @@ def _texts(words) -> List[str]:
     return [word_to_text(w, reducibility.DIM) for w in words]
 
 
-def _words(texts) -> Tuple[int, ...]:
-    return tuple(map(text_to_word, texts))
-
-
-def family_json(cfg_family: reducibility.BoundaryFamily) -> dict:
-    return {
-        "candidates": [_texts(cset) for cset in cfg_family.candidates],
-        "designated": _texts(cfg_family.designated),
-    }
-
-
-def family_from_json(doc: dict) -> reducibility.BoundaryFamily:
-    return reducibility.BoundaryFamily(
-        tuple(map(_words, doc["candidates"])), _words(doc["designated"])
-    )
-
-
-def counterexample_json(
-    cfg_name: str, mutation: Optional[str], cex: reducibility.Counterexample, graph: Graph
+def reduce_row_json(
+    name: str, mutation: Optional[str], report: reducibility.CheckReport, graph: Graph
 ) -> dict:
-    doc: dict = {
-        "config": cfg_name,
-        "mutation": mutation,
-        "stage": cex.stage,
-        "labels": Label(graph, cex.labels).to_string(),
+    """One row of a reduce document, as `reduce` writes it and `check`
+    re-derives it: the report of builtin configuration `name` (graph
+    `graph`) under `mutation`."""
+    row: dict = {
+        "name": report.name,
+        "verdict": report.verdict,
+        "label_count": report.label_count,
+        "family_count": report.family_count,
+        "wall_s": round(report.wall_s, 3),
+        "counterexample": None,
     }
-    if cex.family is not None:
-        doc["family"] = family_json(cex.family)
-    if cex.choice_instance is not None:
-        inst = cex.choice_instance
-        doc["choice_instance"] = {
-            "t": inst["t"],
-            "multi_sets": [_texts(s) for s in inst["multi_sets"]],
-            "singles": _texts(inst["singles"]),
+    cex = report.counterexample
+    if cex is not None:
+        doc = row["counterexample"] = {
+            "config": name,
+            "mutation": mutation,
+            "stage": cex.stage,
+            "labels": Label(graph, cex.labels).to_string(),
         }
-    return doc
+        if cex.family is not None:
+            doc["family"] = {
+                "candidates": [_texts(cset) for cset in cex.family.candidates],
+                "designated": _texts(cex.family.designated),
+            }
+        if cex.choice_instance is not None:
+            inst = cex.choice_instance
+            doc["choice_instance"] = {
+                "t": inst["t"],
+                "multi_sets": [_texts(s) for s in inst["multi_sets"]],
+                "singles": _texts(inst["singles"]),
+            }
+    return row
+
+
+def family_json(k: int, m: int, initial_label: Optional[str]) -> dict:
+    """A family document without its files, as `family` writes it and
+    `check` re-derives it."""
+    lg = build_family(k, m, initial_label)
+    return {
+        "kind": "family",
+        "k": k,
+        "m": m,
+        "initial_label": "0" * (k * (k - 1) // 2) if initial_label is None else initial_label,
+        "vertices": lg.graph.n,
+        "edges": lg.graph.m,
+        "graph": serialize_labeled_graph(lg.graph, lg.label),
+        "levels": levels_to_text(lg.levels),
+    }
 
 
 class CheckResult:
@@ -241,31 +266,52 @@ def _graph_and_label(doc: dict) -> Tuple[Graph, Label]:
     return graph, file_label
 
 
-def _check_refuted(res: CheckResult, graph: Graph, label: Label, t: int, claim: str) -> bool:
-    """Re-search the claim that no t-dimensional assignment exists; False
-    when the claim was left undecided."""
+def _check_refuted(res: CheckResult, graph: Graph, label: Label, t: int, claim: str) -> None:
+    """Re-search the claim that no t-dimensional assignment exists, or note
+    that it was left undecided."""
     refuted = refute(graph, label, t) if t <= REFUTE_MAX_DIM else None
-    if refuted is not None and res.require(
-        refuted, f"{claim}: a {t}-dimensional assignment exists"
-    ):
+    if refuted is None:
+        res.note(f"{claim} accepted without re-search")
+    elif res.require(refuted, f"{claim}: a {t}-dimensional assignment exists"):
         res.note(f"{claim} re-searched: no {t}-dimensional assignment")
-    return refuted is not None
+
+
+def _check_witness(
+    res: CheckResult, graph: Graph, label: Label, t: int, strings, name: str, prefix: str = ""
+) -> None:
+    witness = Assignment.from_strings(graph, strings)
+    if res.require(witness.t == t, f"{prefix}witness dimension differs from {name}"):
+        res.require(verify(graph, label, witness), f"{prefix}witness fails an edge equation")
+
+
+def _check_least(
+    res: CheckResult, graph: Graph, label: Label, d: int, strings, name: str, prefix: str = ""
+) -> None:
+    """The claim that d (the document's `name`) is the least dimension of
+    label: a witness at d, none at d - 1.  At d = 0 without a witness the
+    label must be zero.  Inverting the two ends of each 1-labelled edge
+    realizes any label, so d may not exceed the label's weight."""
+    if d == 0 and strings is None:
+        res.require(label.bits == 0, f"{prefix}nonzero label with {name} 0")
+        return
+    _check_witness(res, graph, label, d, strings, name, prefix)
+    weight = label.bits.bit_count()
+    res.require(d <= weight, f"{prefix}{name} {d} exceeds the label's weight {weight}")
+    if d > 0:
+        _check_refuted(res, graph, label, d - 1, f"{prefix}lower bound")
 
 
 def _check_assign_like(doc: dict, res: CheckResult) -> None:
     graph, label = _graph_and_label(doc)
     verdict = doc["verdict"]
-    if verdict == "sat":
-        assignment = Assignment.from_strings(graph, doc["assignment"])
-        if res.require(assignment.t == doc["t"], "witness dimension differs from t"):
-            res.require(verify(graph, label, assignment), "witness fails an edge equation")
-        if doc["kind"] == "mindim" and doc["t"] > 0:
-            _check_refuted(res, graph, label, doc["t"] - 1, "lower bound")
+    if verdict == "sat" and doc["kind"] == "mindim":
+        _check_least(res, graph, label, doc["t"], doc["assignment"], "t")
+    elif verdict == "sat":
+        _check_witness(res, graph, label, doc["t"], doc["assignment"], "t")
     elif verdict in ("unsat", "exceeds"):
         res.require(doc.get("assignment") is None, f"{verdict} verdict carries a witness")
         t = doc["t"] if verdict == "unsat" else doc["t_max"]
-        if not _check_refuted(res, graph, label, t, f"{verdict} verdict"):
-            res.note(f"{verdict} verdict accepted without re-search")
+        _check_refuted(res, graph, label, t, f"{verdict} verdict")
     else:
         res.fail(f"unknown verdict {verdict!r}")
 
@@ -277,18 +323,12 @@ def _check_distance(doc: dict, res: CheckResult) -> None:
     diff = Label.from_string(graph, doc["label"])
     res.require(diff.bits == o1.flips ^ o2.flips, "diff label does not match orientations")
     d = doc["distance"]
-    if d == 0:
-        res.require(diff.bits == 0, "zero distance with differing orientations")
-    else:
-        assignment = Assignment.from_strings(graph, doc["assignment"])
-        if res.require(assignment.t == d, "witness dimension differs from distance"):
-            res.require(verify(graph, diff, assignment), "witness fails an edge equation")
-        current = o1
-        for xs in doc["inversions"]:
-            current = invert(current, xs)
-        res.require(current == o2, "inversion sequence does not reach the target")
-        res.require(len(doc["inversions"]) == d, "inversion count differs from distance")
-        _check_refuted(res, graph, diff, d - 1, "lower bound")
+    _check_least(res, graph, diff, d, doc["assignment"], "distance")
+    current = o1
+    for xs in doc["inversions"]:
+        current = invert(current, xs)
+    res.require(current == o2, "inversion sequence does not reach the target")
+    res.require(len(doc["inversions"]) == d, "inversion count differs from distance")
     oracle = doc.get("oracle")
     if oracle is not None and oracle.get("skipped") is not None:
         res.require(
@@ -317,14 +357,9 @@ def _check_diameter(doc: dict, res: CheckResult) -> None:
         assign_part, bfs_part = doc.get("assign"), doc.get("bfs")
     if assign_part is not None:
         label = Label.from_string(graph, assign_part["hardest_label"])
-        witness = Assignment.from_strings(graph, assign_part["assignment"])
-        if res.require(
-            witness.t == assign_part["diameter"],
-            "witness dimension differs from diameter",
-        ):
-            res.require(verify(graph, label, witness), "witness fails an edge equation")
-        if assign_part["diameter"] > 0:
-            _check_refuted(res, graph, label, assign_part["diameter"] - 1, "lower bound")
+        _check_least(
+            res, graph, label, assign_part["diameter"], assign_part["assignment"], "diameter"
+        )
     parts = [p["diameter"] for p in (assign_part, bfs_part) if p is not None]
     if not parts:
         res.fail("no engine result")
@@ -346,12 +381,14 @@ def _check_diameter(doc: dict, res: CheckResult) -> None:
 
 
 def _check_family_cert(doc: dict, res: CheckResult) -> None:
-    lg = build_family(doc["k"], doc["m"], doc["initial_label"])
-    res.require(
-        serialize_labeled_graph(lg.graph, lg.label) == doc["graph"],
-        "rebuilt family graph differs",
-    )
-    res.require(levels_to_text(lg.levels) == doc["levels"], "rebuilt levels differ")
+    try:
+        rebuilt = family_json(doc["k"], doc["m"], doc["initial_label"])
+    except BudgetExceededError as exc:
+        res.fail(str(exc))
+        return
+    fields = (doc.keys() | rebuilt.keys()) - {"files", "meta"}
+    differ = sorted(f for f in fields if doc.get(f) != rebuilt.get(f))
+    res.require(not differ, f"rebuilt family differs in {', '.join(differ)}")
 
 
 def _check_probe_cert(doc: dict, res: CheckResult) -> None:
@@ -367,86 +404,56 @@ def _check_probe_cert(doc: dict, res: CheckResult) -> None:
 
 
 def _check_reduce(doc: dict, res: CheckResult) -> None:
+    """Each row is re-derived whole, then its counterexample is confirmed
+    by code independent of the scan.  The re-derivation re-runs the scan
+    that produced the row, so it catches edited rows, not a fault of the
+    scan; the confirmation catches a counterexample the scan got wrong."""
     configs = reducibility.builtin_configs()
+    mutation = doc["mutation"]
     res.require(
         doc["suite_pass"] == all(row["verdict"] == "reducible" for row in doc["configs"]),
         "suite_pass differs from the row verdicts",
     )
     for row in doc["configs"]:
-        cex = row.get("counterexample")
-        if row["verdict"] == "reducible":
-            if cex is not None:
-                res.fail(f"{row['name']}: reducible verdict carries a counterexample")
-                continue
-            # Re-derived on the builtin the row names, under the document's mutation.
-            cfg = configs.get(row["name"].split("[")[0])
-            if cfg is not None and doc["mutation"] is not None:
-                cfg = reducibility.apply_mutation(cfg, doc["mutation"])
-            if not res.require(
-                cfg is not None and cfg.name == row["name"],
-                f"{row['name']}: no builtin configuration of this name"
-                f" under mutation {doc['mutation']!r}",
-            ):
-                continue
-            report = reducibility.check_reducible(cfg)
-            res.require(
-                (report.verdict, report.label_count, report.family_count)
-                == ("reducible", row["label_count"], row["family_count"]),
-                f"{row['name']}: re-derived as {report.verdict} with"
-                f" {report.label_count} labels and {report.family_count} families",
-            )
-            continue
-        if not res.require(cex is not None, f"{row['name']}: counterexample missing"):
-            continue
-        base = configs.get(cex["config"])
-        if not res.require(base is not None, f"unknown config {cex['config']!r}"):
-            continue
-        cfg = base
-        if cex.get("mutation"):
-            cfg = reducibility.apply_mutation(cfg, cex["mutation"])
+        name = row["name"].split("[")[0]
+        cfg = configs.get(name)
+        if cfg is not None and mutation is not None:
+            cfg = reducibility.apply_mutation(cfg, mutation)
         if not res.require(
-            cfg.name == row["name"] and cex.get("mutation") == doc["mutation"],
-            f"{row['name']}: counterexample is for {cfg.name},"
-            f" not this row under mutation {doc['mutation']!r}",
+            cfg is not None and cfg.name == row["name"],
+            f"{row['name']}: no builtin configuration of this name under mutation {mutation!r}",
         ):
             continue
-        labels = Label.from_string(cfg.graph, cex["labels"]).bits
-        if cex["stage"] == "main":
-            fam = family_from_json(cex["family"])
+        report = reducibility.check_reducible(cfg)
+        again = reduce_row_json(name, mutation, report, cfg.graph)
+        if any(row[key] != again[key] for key in ("verdict", "label_count", "family_count")):
+            res.fail(
+                f"{row['name']}: re-derived as {report.verdict} with"
+                f" {report.label_count} labels and {report.family_count} families"
+            )
+            continue
+        # wall_s is a timing, and --no-meta drops it.
+        if not res.require(
+            {**row, "wall_s": None} == {**again, "wall_s": None},
+            f"{row['name']}: row differs from its re-derivation",
+        ):
+            continue
+        cex = report.counterexample
+        if cex is not None and cex.stage == "main":
             try:
-                witness = check_family(cfg, labels, fam)
+                witness = check_family(cfg, cex.labels, cex.family)
             except ValueError as exc:
                 res.fail(f"{row['name']}: counterexample family invalid: {exc}")
                 continue
+            res.require(witness is None, f"{row['name']}: counterexample family has a witness")
+        elif cex is not None:
+            inst = cex.choice_instance
             res.require(
-                witness is None, f"{row['name']}: counterexample family has a witness"
+                not reducibility.admits_choice(
+                    len(cfg.boundary), inst["t"], *inst["multi_sets"], inst["singles"]
+                ),
+                f"{row['name']}: choice counterexample admits a choice",
             )
-        elif cex["stage"] == "choice":
-            if not res.require(cfg.choice_stage, f"{row['name']}: no choice stage"):
-                continue
-            inst = cex["choice_instance"]
-            b = len(cfg.boundary)
-            t = inst["t"]
-            multi = [_words(ms) for ms in inst["multi_sets"]]
-            singles = _words(inst["singles"])
-            if len(multi) != 2 or len(singles) != b - 2 or not 1 <= t < b:
-                raise ValueError(
-                    f"a choice instance has 2 multi sets, {b - 2} singles and 1 <= t < {b}"
-                )
-            nonzero = set(reducibility.NONZERO_VECTORS)
-            if not res.require(
-                all(set(ms) <= nonzero and len(set(ms)) >= cfg.choice_multi_min for ms in multi)
-                and set(singles) <= nonzero,
-                f"{row['name']}: choice instance needs nonzero vectors and multi sets"
-                f" of at least {cfg.choice_multi_min} distinct vectors",
-            ):
-                continue
-            feasible = reducibility.admits_choice(b, t, multi[0], multi[1], singles)
-            res.require(
-                not feasible, f"{row['name']}: choice counterexample admits a choice"
-            )
-        else:
-            res.fail(f"{row['name']}: unknown counterexample stage {cex['stage']!r}")
 
 
 def _check_hardest_by_bfs(
@@ -483,23 +490,11 @@ def _check_search_hard(doc: dict, res: CheckResult) -> None:
         if entry["exhaustive"] and graph.m <= DIAMETER_EDGE_BUDGET:
             _check_hardest_by_bfs(res, i, graph, label, entry["min_dim"], doc["t_max"])
         if entry["min_dim"] is None:
-            claim = f"entry {i}: above-t_max verdict"
-            if not _check_refuted(res, graph, label, doc["t_max"], claim):
-                res.note(f"{claim} accepted without re-search")
-            continue
-        if entry["min_dim"] == 0:
-            res.require(label.bits == 0, f"entry {i}: nonzero label with min_dim 0")
-            continue
-        assignment = Assignment.from_strings(graph, entry["assignment"])
-        if res.require(
-            assignment.t == entry["min_dim"],
-            f"entry {i}: witness dimension differs from min_dim",
-        ):
-            res.require(
-                verify(graph, label, assignment),
-                f"entry {i}: witness fails an edge equation",
+            _check_refuted(res, graph, label, doc["t_max"], f"entry {i}: above-t_max verdict")
+        else:
+            _check_least(
+                res, graph, label, entry["min_dim"], entry["assignment"], "min_dim", f"entry {i}: "
             )
-        _check_refuted(res, graph, label, entry["min_dim"] - 1, f"entry {i}: lower bound")
 
 
 _CHECKERS = {
@@ -532,9 +527,8 @@ def check_certificate(doc: dict) -> Tuple[bool, str, List[str]]:
 
 __all__ = [
     "check_certificate",
-    "counterexample_json",
     "family_json",
-    "family_from_json",
+    "reduce_row_json",
     "levels_to_text",
     "parse_levels_text",
     "probe_reports_json",

@@ -24,13 +24,14 @@ from .assignment import (
 )
 from .certificates import (
     check_certificate,
-    counterexample_json,
+    family_json,
     levels_to_text,
     parse_levels_text,
     probe_reports_json,
+    reduce_row_json,
 )
 from .errors import BudgetExceededError, InputFormatError, InvariantError
-from .family import build_family, reconstruct_leveled
+from .family import reconstruct_leveled
 from .graph import (
     Label,
     Orientation,
@@ -170,33 +171,16 @@ def cmd_diameter(args) -> Tuple[dict, int]:
 
 def cmd_family(args) -> Tuple[dict, int]:
     try:
-        lg = build_family(args.k, args.m, args.initial_label)
+        doc = family_json(args.k, args.m, args.initial_label)
     except ValueError as exc:  # --k, --m or --initial-label out of range
         raise InputFormatError(str(exc)) from None
-    graph_text = serialize_labeled_graph(lg.graph, lg.label)
-    levels_text = levels_to_text(lg.levels)
     files = {}
-    if args.graph_out:
-        with open(args.graph_out, "w", encoding="utf-8") as fh:
-            fh.write(graph_text + "\n")
-        files["graph"] = args.graph_out
-    if args.levels_out:
-        with open(args.levels_out, "w", encoding="utf-8") as fh:
-            fh.write(levels_text + "\n")
-        files["levels"] = args.levels_out
-    m0 = args.k * (args.k - 1) // 2
-    initial = args.initial_label if args.initial_label is not None else "0" * m0
-    return {
-        "kind": "family",
-        "k": args.k,
-        "m": args.m,
-        "initial_label": initial,
-        "vertices": lg.graph.n,
-        "edges": lg.graph.m,
-        "graph": graph_text,
-        "levels": levels_text,
-        "files": files or None,
-    }, EXIT_OK
+    for key, path in (("graph", args.graph_out), ("levels", args.levels_out)):
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(doc[key] + "\n")
+            files[key] = path
+    return {**doc, "files": files or None}, EXIT_OK
 
 
 def cmd_probe(args) -> Tuple[dict, int]:
@@ -247,25 +231,10 @@ def cmd_reduce(args) -> Tuple[dict, int]:
             )
         names = [target]
     report = reducibility.run_suite(names, mutation=args.mutate, jobs=args.jobs)
-    rows = []
-    for row in report.rows:
-        base_name = row.name.split("[")[0]
-        cfg = configs[base_name]
-        if args.mutate:
-            cfg = reducibility.apply_mutation(cfg, args.mutate)
-        entry = {
-            "name": row.name,
-            "verdict": row.verdict,
-            "label_count": row.label_count,
-            "family_count": row.family_count,
-            "wall_s": round(row.wall_s, 3),
-            "counterexample": None,
-        }
-        if row.counterexample is not None:
-            entry["counterexample"] = counterexample_json(
-                base_name, args.mutate, row.counterexample, cfg.graph
-            )
-        rows.append(entry)
+    rows = [
+        reduce_row_json(name, args.mutate, row, configs[name].graph)
+        for name, row in zip(names, report.rows)
+    ]
     doc = {
         "kind": "reduce",
         "mutation": args.mutate,

@@ -78,17 +78,26 @@ def projected_family_size(k: int, m: int) -> Tuple[int, int, int]:
     """(vertices, edges, registered cliques) of the stage-m family.
 
     Every clique gains 2^k children per stage and each child registers k
-    new cliques, so clique counts multiply by 1 + k*2^k each stage.
+    new cliques, so clique counts multiply by 1 + k*2^k each stage.  Raises
+    BudgetExceededError at the first stage whose total passes GROWTH_GUARD,
+    so a huge k or m costs no more than the stages under the guard.
     """
     vertices = k
     edges = k * (k - 1) // 2
     cliques = 1
-    for _ in range(m):
+    stage = 0
+    while vertices + edges + cliques <= GROWTH_GUARD:
+        if stage == m:
+            return vertices, edges, cliques
         new_vertices = cliques << k
         vertices += new_vertices
         edges += new_vertices * k
         cliques += new_vertices * k
-    return vertices, edges, cliques
+        stage += 1
+    raise BudgetExceededError(
+        f"family k={k}, m={m} grows past the guard of {GROWTH_GUARD} vertices, edges"
+        f" and cliques at stage {stage}"
+    )
 
 
 def _normalize_initial_label(k: int, initial_label) -> int:
@@ -122,13 +131,8 @@ def build_family(k: int, m: int, initial_label=None) -> LeveledGraph:
         raise ValueError(f"k must be >= 1, got {k}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
+    projected_family_size(k, m)  # raises past GROWTH_GUARD
     init_bits = _normalize_initial_label(k, initial_label)
-    pv, pe, pc = projected_family_size(k, m)
-    if pv + pe + pc > GROWTH_GUARD:
-        raise BudgetExceededError(
-            f"family k={k}, m={m} projects to {pv} vertices, {pe} edges and "
-            f"{pc} cliques, beyond the guard of {GROWTH_GUARD}"
-        )
 
     base_edges = list(combinations(range(k), 2))
     edge_bits: Dict[Tuple[int, int], int] = {

@@ -442,11 +442,6 @@ def _scan_labels(
     return labels_checked, families_checked, None
 
 
-def _scan_labels_task(args) -> Tuple[int, int, Optional[Counterexample]]:
-    cfg, words = args
-    return _scan_labels(cfg, words)
-
-
 def check_reducible(cfg: ReducibilityConfiguration, jobs: int = 1) -> CheckReport:
     """Exhaustively confirm reducibility, or return the first failing pair.
 
@@ -455,48 +450,27 @@ def check_reducible(cfg: ReducibilityConfiguration, jobs: int = 1) -> CheckRepor
     """
     start = time.monotonic()
     family_count = 0
+    cex = None
     if cfg.choice_stage:
-        checked, failure = _check_choice_stage(cfg)
-        family_count += checked
-        if failure is not None:
-            return CheckReport(
-                cfg.name,
-                "counterexample",
-                0,
-                family_count,
-                time.monotonic() - start,
-                failure,
-            )
-    words = list(cfg.label_completions())
+        family_count, cex = _check_choice_stage(cfg)
+    words = [] if cex else list(cfg.label_completions())
+    results = None
     if jobs > 1 and len(words) > 1:
-        chunks = [words[i::jobs] for i in range(jobs)]
-        # Round-robin chunks preserve a deterministic merge: results are
-        # re-ranked by the position of their counterexample label.
+        # Round-robin chunks.  Chunks scan past the first counterexample, so
+        # the words up to it are re-scanned serially for the serial counts.
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs) as pool:
-            results = pool.map(_scan_labels_task, [(cfg, c) for c in chunks])
-        labels_checked = sum(r[0] for r in results)
-        family_count += sum(r[1] for r in results)
-        ranked = [
-            (words.index(r[2].labels), r[2])
-            for r in results
-            if r[2] is not None
-        ]
-        cex = min(ranked)[1] if ranked else None
-    else:
-        labels_checked, fams, cex = _scan_labels(cfg, words)
-        family_count += fams
-    if cex is not None:
-        return CheckReport(
-            cfg.name,
-            "counterexample",
-            labels_checked,
-            family_count,
-            time.monotonic() - start,
-            cex,
-        )
+            results = pool.starmap(_scan_labels, [(cfg, words[i::jobs]) for i in range(jobs)])
+        firsts = [words.index(r[2].labels) for r in results if r[2]]
+        if firsts:
+            words, results = words[: min(firsts) + 1], None
+    results = results or [_scan_labels(cfg, words)]
+    labels_checked = sum(r[0] for r in results)
+    family_count += sum(r[1] for r in results)
+    cex = cex or next((r[2] for r in results if r[2]), None)
+    verdict = "counterexample" if cex else "reducible"
     return CheckReport(
-        cfg.name, "reducible", labels_checked, family_count, time.monotonic() - start
+        cfg.name, verdict, labels_checked, family_count, time.monotonic() - start, cex
     )
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from invdiam import certificates
-from invdiam.assignment import min_dim
+from invdiam.assignment import min_dim, solve
 from invdiam.certificates import check_certificate, refute
 from invdiam.family import build_family
 from invdiam.graph import Graph, Label, serialize_labeled_graph
@@ -44,8 +44,23 @@ def _unsat_doc(graph, label, t):
     }
 
 
+def _padded_mindim_doc(graph, label, t, padded_t):
+    """A mindim certificate claiming padded_t, with a t-dimensional witness
+    zero-padded to padded_t."""
+    witness = solve(graph, label, t)
+    return {
+        "kind": "mindim",
+        "graph": serialize_labeled_graph(graph, label),
+        "label": label.to_string(),
+        "t": padded_t,
+        "t_max": padded_t,
+        "assignment": [w + "0" * (padded_t - t) for w in witness.to_strings()],
+        "verdict": "sat",
+    }
+
+
 class TestUndecidedClaims:
-    """Claims the refuter cannot decide keep the note they had before."""
+    """Claims the refuter cannot decide are accepted with a note."""
 
     def test_above_max_dim(self):
         g = Graph(2, [(0, 1)])
@@ -59,6 +74,26 @@ class TestUndecidedClaims:
         monkeypatch.setattr(certificates, "REFUTE_NODE_CAP", 10)
         valid, _, notes = check_certificate(_unsat_doc(lg.graph, lg.label, 3))
         assert valid and notes == ["unsat verdict accepted without re-search"]
+
+    def test_least_dimension_above_the_weight_is_invalid(self):
+        # C4 with label 0101 needs 2 dimensions; its weight is 2, so 10 is
+        # impossible even though 9 is too high for the refuter.
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        doc = _padded_mindim_doc(g, Label.from_string(g, "0101"), 2, 10)
+        assert check_certificate(doc) == (
+            False,
+            "mindim",
+            ["FAIL: t 10 exceeds the label's weight 2", "lower bound accepted without re-search"],
+        )
+
+    def test_undecided_lower_bound_is_noted(self):
+        # A 10-edge matching labelled all ones needs 1 dimension, but a
+        # claim of 10 is within its weight and cannot be re-searched.
+        g = Graph(20, [(2 * i, 2 * i + 1) for i in range(10)])
+        doc = _padded_mindim_doc(g, Label(g, (1 << 10) - 1), 1, 10)
+        assert check_certificate(doc) == (
+            True, "mindim", ["lower bound accepted without re-search"]
+        )
 
     @pytest.mark.parametrize("t", [-1, "3"])
     def test_malformed_dimension_is_invalid(self, t):

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from invdiam import gf2
+from invdiam import gf2, reducibility
 from invdiam.assignment import (
     assignment_to_inversions,
     hardest_label,
@@ -23,7 +24,7 @@ from invdiam.graph import (
     serialize_labeled_graph,
 )
 from invdiam.inversion import DISTANCE_EDGE_BUDGET
-from invdiam.reducibility import builtin_configs
+from invdiam.reducibility import CheckReport, Counterexample, builtin_configs, enumerate_families
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -257,6 +258,34 @@ class TestFamily:
         doc = json.loads(capsys.readouterr().out)
         assert code == 3 and doc["category"] == "budget"
 
+    def test_check_beyond_guard_is_invalid_at_once(self, capsys, tmp_path):
+        cert = tmp_path / "family.json"
+        cert.write_text(json.dumps({"kind": "family", "k": 1, "m": 200000, "initial_label": ""}))
+        start = time.monotonic()
+        code, doc = run_cli(capsys, "check", str(cert), "--no-meta")
+        assert time.monotonic() - start < 1.0
+        assert code == 1 and doc["notes"] == [
+            "FAIL: family k=1, m=200000 grows past the guard of 1000000 vertices,"
+            " edges and cliques at stage 12"
+        ]
+
+    @pytest.mark.parametrize(
+        "tamper, differs",
+        [
+            (lambda doc: doc.update(vertices=999), "vertices"),
+            (lambda doc: doc.update(edges=0, levels=""), "edges, levels"),
+            (lambda doc: doc.update(extra=1), "extra"),
+        ],
+        ids=["vertices", "edges-and-levels", "extra-field"],
+    )
+    def test_check_compares_the_whole_document(self, capsys, tmp_path, tamper, differs):
+        doc = _emitted(tmp_path, ["family", "--k", "2", "--m", "1"])
+        tamper(doc)
+        cert = tmp_path / "family.json"
+        cert.write_text(json.dumps(doc))
+        code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
+        assert code == 1 and check_doc["notes"] == [f"FAIL: rebuilt family differs in {differs}"]
+
 
 class TestProbeFlow:
     def test_family_mindim_probe_check(self, capsys, tmp_path):
@@ -366,42 +395,42 @@ def _shrunk_choice(tmp_path, **instance):
     return doc
 
 
-_SMALL_OR_ZERO = "choice instance needs nonzero vectors and multi sets of at least"
+# Each forgery fails the whole-row comparison with the re-derived row.
+_C4B_REDUCIBLE = "FAIL: C4_b: re-derived as reducible with 1 labels and 67095 families"
+_SHRUNK_DIFFERS = "FAIL: C4_b[c4b-shrink-choice]: row differs from its re-derivation"
 _FORGED_CHOICES = {
     "empty-multi-sets": (
         lambda tmp: _claimed_choice(
             tmp, "C4_b", {"t": 1, "multi_sets": [[], []], "singles": ["100", "010"]}
         ),
-        f"FAIL: C4_b: {_SMALL_OR_ZERO} 2 distinct vectors",
+        _C4B_REDUCIBLE,
     ),
     "other-config": (
         lambda tmp: _claimed_choice(
             tmp, "bridge", {"t": 1, "multi_sets": [[], []], "singles": ["100", "010"]}
         ),
-        "FAIL: C4_b: counterexample is for bridge, not this row under mutation None",
+        _C4B_REDUCIBLE,
     ),
     "document-unmutated": (
         lambda tmp: {**_shrunk_choice(tmp), "mutation": None},
-        "FAIL: C4_b[c4b-shrink-choice]: counterexample is for C4_b[c4b-shrink-choice],"
-        " not this row under mutation None",
+        "FAIL: C4_b[c4b-shrink-choice]: no builtin configuration of this name"
+        " under mutation None",
     ),
     "t-minus-1-extra-single": (
         lambda tmp: _shrunk_choice(tmp, t=-1, singles=["100", "100", "100"]),
-        "FAIL: malformed certificate: a choice instance has 2 multi sets, 2 singles"
-        " and 1 <= t < 4",
+        _SHRUNK_DIFFERS,
     ),
     "extra-single": (
         lambda tmp: _shrunk_choice(tmp, singles=["100", "100", "010"]),
-        "FAIL: malformed certificate: a choice instance has 2 multi sets, 2 singles"
-        " and 1 <= t < 4",
+        _SHRUNK_DIFFERS,
     ),
     "zero-vectors": (
         lambda tmp: _shrunk_choice(tmp, multi_sets=[["000"], ["000"]], singles=["000", "000"]),
-        f"FAIL: C4_b[c4b-shrink-choice]: {_SMALL_OR_ZERO} 1 distinct vectors",
+        _SHRUNK_DIFFERS,
     ),
     "zero-singles": (
         lambda tmp: _shrunk_choice(tmp, singles=["000", "000"]),
-        f"FAIL: C4_b[c4b-shrink-choice]: {_SMALL_OR_ZERO} 1 distinct vectors",
+        _SHRUNK_DIFFERS,
     ),
 }
 
@@ -467,6 +496,23 @@ class TestReduce:
         code, doc = run_cli(capsys, "reduce", "--config", "P3", "--jobs", "2", "--no-meta")
         assert code == 0 and doc["suite_pass"]
 
+    def test_jobs_write_the_serial_document(self, capsys, tmp_path):
+        # The chunks of the pool scan past the counterexample; the document
+        # must still carry the serial counts, and check re-derives them.
+        docs = []
+        for jobs in ("1", "2"):
+            cert = tmp_path / f"jobs{jobs}.json"
+            argv = ["reduce", "--mutate", "triangle-drop-linking", "--jobs", jobs]
+            assert main(argv + ["--out", str(cert), "--no-meta"]) == 1
+            docs.append(json.loads(cert.read_text()))
+            code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
+            assert code == 0 and check_doc["valid"] and check_doc["notes"] == []
+        serial, parallel = ({k: v for k, v in d.items() if k != "meta"} for d in docs)
+        assert parallel == serial
+        assert (serial["configs"][0]["label_count"], serial["configs"][0]["family_count"]) == (
+            6, 10780
+        )
+
     @pytest.mark.parametrize(
         "forge, note", list(_FORGED_CHOICES.values()), ids=list(_FORGED_CHOICES)
     )
@@ -476,6 +522,30 @@ class TestReduce:
         code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
         assert code == 1 and not check_doc["valid"]
         assert check_doc["notes"] == [note]
+
+    @pytest.mark.parametrize("config", ["P3", "C4_b"])
+    def test_false_scan_counterexample_rejected(self, capsys, tmp_path, monkeypatch, config):
+        # A scan fault that reports a false counterexample: `reduce` emits
+        # it and `check` re-derives the same row, so only the independent
+        # confirmation can reject it.
+        cfg = builtin_configs()[config]
+        labels = next(w for w in cfg.label_completions() if cfg.admissible(w))
+        if config == "P3":
+            cex = Counterexample("main", labels, next(enumerate_families(cfg, labels)))
+            note = "FAIL: P3: counterexample family has a witness"
+        else:
+            instance = {"t": 1, "multi_sets": [[1, 2], [1, 2]], "singles": [3, 4]}
+            cex = Counterexample("choice", labels, None, instance)
+            note = "FAIL: C4_b: choice counterexample admits a choice"
+        monkeypatch.setattr(
+            reducibility,
+            "check_reducible",
+            lambda cfg, jobs=1: CheckReport(cfg.name, "counterexample", 0, 0, 0.0, cex),
+        )
+        cert = tmp_path / "reduce.json"
+        assert main(["reduce", "--config", config, "--out", str(cert), "--no-meta"]) == 1
+        code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
+        assert code == 1 and check_doc["notes"] == [note]
 
     def test_choice_claim_without_choice_stage_rejected(self, capsys, tmp_path):
         cert = tmp_path / "reduce.json"
@@ -494,7 +564,9 @@ class TestReduce:
         )
         cert.write_text(json.dumps(doc))
         code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
-        assert code == 1 and check_doc["notes"] == ["FAIL: bridge: no choice stage"]
+        assert code == 1 and check_doc["notes"] == [
+            "FAIL: bridge: re-derived as reducible with 16 labels and 49787136 families"
+        ]
 
     def test_all_configs_parallel(self, capsys, tmp_path):
         out = tmp_path / "suite.json"
@@ -712,19 +784,25 @@ class TestCheckCommand:
         assert [n for n in check_doc["notes"] if n.startswith("FAIL")] == fails
 
     @pytest.mark.parametrize(
-        "tamper",
+        "tamper, note",
         [
-            lambda doc: doc.update(configs=["not a row"]),
-            lambda doc: doc["configs"][0]["counterexample"]["choice_instance"].update(
-                multi_sets=[["100"]]
+            (lambda doc: doc.update(configs=["not a row"]), "FAIL: malformed certificate"),
+            (
+                lambda doc: doc["configs"][0]["counterexample"]["choice_instance"].update(
+                    multi_sets=[["100"]]
+                ),
+                _SHRUNK_DIFFERS,
             ),
-            lambda doc: doc["configs"][0]["counterexample"]["choice_instance"].update(
-                singles=[]
+            (
+                lambda doc: doc["configs"][0]["counterexample"]["choice_instance"].update(
+                    singles=[]
+                ),
+                _SHRUNK_DIFFERS,
             ),
         ],
         ids=["row-not-object", "one-multi-set", "too-few-singles"],
     )
-    def test_malformed_certificate_is_invalid(self, capsys, tmp_path, tamper):
+    def test_malformed_certificate_is_invalid(self, capsys, tmp_path, tamper, note):
         cert = tmp_path / "cert.json"
         assert main(
             ["reduce", "--mutate", "c4b-shrink-choice", "--out", str(cert), "--no-meta"]
@@ -734,7 +812,7 @@ class TestCheckCommand:
         cert.write_text(json.dumps(doc))
         code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
         assert code == 1 and not check_doc["valid"]
-        assert check_doc["notes"][0].startswith("FAIL: malformed certificate")
+        assert check_doc["notes"][0].startswith(note)
 
     def test_bad_json_exit_2(self, capsys, tmp_path):
         p = tmp_path / "junk.json"
@@ -833,6 +911,8 @@ _ERROR_CASES = {
     "search-hard-budget-negative": (["search-hard", "{c4}", "--budget", "-3"], 2, "input"),
     "family-k-0": (["family", "--k", "0", "--m", "1"], 2, "input"),
     "family-m-negative": (["family", "--k", "2", "--m", "-1"], 2, "input"),
+    # The guard stops at stage 12, without the huge counts of stage 100000.
+    "family-m-huge": (["family", "--k", "1", "--m", "100000"], 3, "budget"),
     "family-initial-label-too-long": (
         ["family", "--k", "2", "--m", "1", "--initial-label", "11"], 2, "input"
     ),

@@ -7,6 +7,9 @@ checkouts with `diff -r` on their directories:
 
     PYTHONPATH=src python3 tools/no_meta_corpus.py /tmp/corpus-new
 
+A traceback is recorded as `exit traceback ...`; the script then still
+runs the rest, and exits 1 listing the failed invocations on stderr.
+
 Corpus: each corpus_n5 and outer-planar fixture graph, relabelled 1010...,
 through `assign --t 1..4`, `mindim`, `distance --oracle` (all-zero to the
 alternating orientation) and, if m <= 12, `diameter --engine both` and
@@ -122,4 +125,11 @@ def main_corpus(out_dir: Path) -> None:
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: no_meta_corpus.py OUT_DIR")
-    main_corpus(Path(sys.argv[1]).resolve())
+    out = Path(sys.argv[1]).resolve()
+    main_corpus(out)
+    crashed = [
+        p.stem for p in sorted(out.glob("*.out")) if p.read_text().startswith("exit traceback")
+    ]
+    if crashed:
+        print("invocations that ended in a traceback:", *crashed, sep="\n  ", file=sys.stderr)
+        sys.exit(1)
