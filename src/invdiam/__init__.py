@@ -22,7 +22,6 @@ from .errors import BudgetExceededError, InputFormatError, InvariantError
 from .family import (
     LeveledGraph,
     build_family,
-    family_min_dim_scan,
     is_k_tree,
     probe_bad_cliques,
     probe_clique_independence,

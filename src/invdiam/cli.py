@@ -52,8 +52,16 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from None
 
 
 def _load_graph(path: str):
@@ -177,8 +185,7 @@ def cmd_family(args) -> Tuple[dict, int]:
     files = {}
     for key, path in (("graph", args.graph_out), ("levels", args.levels_out)):
         if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(doc[key] + "\n")
+            _write(path, doc[key] + "\n")
             files[key] = path
     return {**doc, "files": files or None}, EXIT_OK
 
@@ -211,8 +218,6 @@ def cmd_probe(args) -> Tuple[dict, int]:
 
 
 def cmd_reduce(args) -> Tuple[dict, int]:
-    if args.jobs < 1:
-        raise InputFormatError(f"--jobs must be >= 1, got {args.jobs}")
     configs = reducibility.builtin_configs()
     if args.config:
         if args.config not in configs:
@@ -230,7 +235,7 @@ def cmd_reduce(args) -> Tuple[dict, int]:
                 f"mutation {args.mutate!r} targets {target}, not {args.config}"
             )
         names = [target]
-    report = reducibility.run_suite(names, mutation=args.mutate, jobs=args.jobs)
+    report = reducibility.run_suite(names, mutation=args.mutate)
     rows = [
         reduce_row_json(name, args.mutate, row, configs[name].graph)
         for name, row in zip(names, report.rows)
@@ -363,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--config")
     group.add_argument("--all", action="store_true")
     p.add_argument("--mutate", default=None, help="apply a named constraint-dropping control")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=cmd_reduce)
     _add_common(p)
 
@@ -385,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _meta(args, started: float) -> dict:
     meta = {"tool": "invdiam", "version": __version__}
-    for key in ("seed", "budget", "t", "t_max", "k", "m", "jobs", "engine"):
+    for key in ("seed", "budget", "t", "t_max", "k", "m", "engine"):
         if hasattr(args, key) and getattr(args, key) is not None:
             meta[key] = getattr(args, key)
     if not args.no_meta:
@@ -400,13 +404,12 @@ def _strip_timings(doc: dict) -> None:
             row.pop("wall_s", None)
 
 
-def _emit(doc: dict, args) -> None:
-    text = json.dumps(doc, indent=2 if args.pretty else None, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def _emit(doc: dict, args, out: Optional[str]) -> None:
+    text = json.dumps(doc, indent=2 if args.pretty else None, sort_keys=True) + "\n"
+    if out:
+        _write(out, text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -415,19 +418,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     started = time.monotonic()
     try:
         doc, code = args.handler(args)
+        doc["meta"] = _meta(args, started)
+        if args.no_meta:
+            _strip_timings(doc)
+        _emit(doc, args, args.out)
+        return code
     except InputFormatError as exc:
-        _emit({"kind": "error", "error": str(exc), "category": "input"}, args)
-        return EXIT_INPUT
+        error, code = {"error": str(exc), "category": "input"}, EXIT_INPUT
     except BudgetExceededError as exc:
-        _emit({"kind": "error", "error": str(exc), "category": "budget"}, args)
-        return EXIT_BUDGET
+        error, code = {"error": str(exc), "category": "budget"}, EXIT_BUDGET
     except InvariantError as exc:
-        _emit({"kind": "error", "error": str(exc), "category": "invariant"}, args)
-        return EXIT_INVARIANT
-    doc["meta"] = _meta(args, started)
-    if args.no_meta:
-        _strip_timings(doc)
-    _emit(doc, args)
+        error, code = {"error": str(exc), "category": "invariant"}, EXIT_INVARIANT
+    error["kind"] = "error"
+    try:
+        _emit(error, args, args.out)
+    except InputFormatError:  # --out itself cannot be written
+        _emit(error, args, None)
     return code
 
 

@@ -11,13 +11,12 @@ stage.  These families drive the worst-case distance against dimension
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .assignment import Assignment, solve_with_deadline, verify
+from .assignment import Assignment, verify
 from .errors import BudgetExceededError, InputFormatError
 from .graph import Graph, Label
 
@@ -282,39 +281,6 @@ def probe_bad_cliques(lg: LeveledGraph, f: Assignment) -> BadCliqueReport:
     return BadCliqueReport(len(lg.sub_cliques), bad)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    m: int
-    t: int
-    verdict: str  # "sat" | "unsat" | "timeout"
-    elapsed_s: float
-
-
-def family_min_dim_scan(
-    k: int,
-    m_max: int,
-    t: int,
-    budget_s: float,
-    initial_label=None,
-) -> List[ScanRow]:
-    """Solve each stage's label at dimension t under a shared time budget.
-
-    The budget is split evenly over the remaining stages, with unused
-    time flowing forward.  Timeouts are recorded, not raised.
-    """
-    if k not in (1, 2):
-        raise ValueError(f"scan supports k in {{1, 2}}, got {k}")
-    rows: List[ScanRow] = []
-    overall_deadline = time.monotonic() + budget_s
-    for m in range(m_max + 1):
-        lg = build_family(k, m, initial_label)
-        now = time.monotonic()
-        share = max(0.0, overall_deadline - now) / (m_max + 1 - m)
-        verdict, _ = solve_with_deadline(lg.graph, lg.label, t, now + share)
-        rows.append(ScanRow(m, t, verdict, round(time.monotonic() - now, 6)))
-    return rows
-
-
 def reconstruct_leveled(
     graph: Graph, label: Label, levels: Sequence[int], k: Optional[int] = None
 ) -> LeveledGraph:
@@ -331,6 +297,8 @@ def reconstruct_leveled(
     base = [v for v in range(graph.n) if levels[v] == 0]
     if k is None:
         k = len(base)
+    if k < 1:
+        raise InputFormatError(f"a family needs k >= 1 level-0 vertices, got k = {k}")
     if len(base) != k or base != list(range(k)):
         raise InputFormatError("level-0 vertices must be exactly 0..k-1")
     for u, v in combinations(base, 2):
@@ -394,13 +362,11 @@ __all__ = [
     "LeveledGraph",
     "ProbeReport",
     "BadCliqueReport",
-    "ScanRow",
     "projected_family_size",
     "build_family",
     "is_k_tree",
     "probe_clique_independence",
     "probe_extension_dichotomy",
     "probe_bad_cliques",
-    "family_min_dim_scan",
     "reconstruct_leveled",
 ]

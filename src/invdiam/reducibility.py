@@ -31,13 +31,12 @@ code independent of the scan.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations, combinations_with_replacement, product
 from math import prod
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2, masks
 from .graph import Graph
@@ -408,7 +407,7 @@ def _designated_count(
 
 def _scan_labels(
     cfg: ReducibilityConfiguration,
-    label_words: Sequence[int],
+    label_words: Iterable[int],
 ) -> Tuple[int, int, Optional[Counterexample]]:
     """Scan complete label words; returns (labels, families, counterexample).
 
@@ -448,26 +447,16 @@ def check_reducible(cfg: ReducibilityConfiguration, jobs: int = 1) -> CheckRepor
     The counterexample, when present, is the first in (label word,
     candidate sets, designated values) lexicographic order.
     """
+    # `jobs` does nothing; it stays only while perfbench/workloads.py passes it.
     start = time.monotonic()
     family_count = 0
     cex = None
     if cfg.choice_stage:
         family_count, cex = _check_choice_stage(cfg)
-    words = [] if cex else list(cfg.label_completions())
-    results = None
-    if jobs > 1 and len(words) > 1:
-        # Round-robin chunks.  Chunks scan past the first counterexample, so
-        # the words up to it are re-scanned serially for the serial counts.
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            results = pool.starmap(_scan_labels, [(cfg, words[i::jobs]) for i in range(jobs)])
-        firsts = [words.index(r[2].labels) for r in results if r[2]]
-        if firsts:
-            words, results = words[: min(firsts) + 1], None
-    results = results or [_scan_labels(cfg, words)]
-    labels_checked = sum(r[0] for r in results)
-    family_count += sum(r[1] for r in results)
-    cex = cex or next((r[2] for r in results if r[2]), None)
+    labels_checked = 0
+    if cex is None:
+        labels_checked, families, cex = _scan_labels(cfg, cfg.label_completions())
+        family_count += families
     verdict = "counterexample" if cex else "reducible"
     return CheckReport(
         cfg.name, verdict, labels_checked, family_count, time.monotonic() - start, cex
@@ -728,6 +717,7 @@ def run_suite(
     mutation: Optional[str] = None,
     jobs: int = 1,
 ) -> SuiteReport:
+    # `jobs` does nothing; it stays only while perfbench/workloads.py passes it.
     configs = builtin_configs()
     if names is None:
         names = list(configs)
@@ -738,7 +728,7 @@ def run_suite(
         cfg = configs[name]
         if mutation is not None:
             cfg = apply_mutation(cfg, mutation)
-        rows.append(check_reducible(cfg, jobs=jobs))
+        rows.append(check_reducible(cfg))
     return SuiteReport(tuple(rows))
 
 

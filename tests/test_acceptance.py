@@ -1,10 +1,9 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-Criteria 7 and 8 are exploratory: they must run and report, but a
-sat-everywhere or timeout outcome is reported rather than failed.  Their
-time budgets default to small values suitable for CI and can be raised via
-INVDIAM_SCAN_BUDGET_S and INVDIAM_SEARCH_BUDGET_S (the full-scale runs use
-7200 each).
+Criterion 8 is exploratory: it must run and report, but finding no
+dimension-4 label within its time budget is reported rather than failed.
+The budget defaults to a small value suitable for CI and can be raised via
+INVDIAM_SEARCH_BUDGET_S (the full-scale run uses 7200).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from invdiam.certificates import check_certificate, refute
 from invdiam.cli import main as cli_main
 from invdiam.family import (
     build_family,
-    family_min_dim_scan,
     probe_clique_independence,
     probe_extension_dichotomy,
 )
@@ -199,7 +197,7 @@ _FAMILY_COUNTS = {
 
 def test_criterion_5_reducibility_suite(tmp_path):
     start = time.monotonic()
-    suite = run_suite(jobs=1)
+    suite = run_suite()
     counts = {r.name: r.family_count for r in suite.rows}
     suite_ok = suite.passed and counts == _FAMILY_COUNTS
     lines = [f"{r.name}={r.verdict}({r.family_count})" for r in suite.rows]
@@ -253,35 +251,37 @@ def test_criterion_6_lemma_probes(k, m):
     assert violations == 0
 
 
+_STAGE_VERDICTS = ["sat", "sat", "sat", "unsat", "unsat", "unsat"]
+
+
 def test_criterion_7_scan_reports():
-    budget = float(os.environ.get("INVDIAM_SCAN_BUDGET_S", "60"))
+    # Fixed work: the k=2 family at t=3 on every stage m=0..5.
     start = time.monotonic()
-    rows = family_min_dim_scan(2, 5, 3, budget)
+    verdicts, cells = [], []
+    for m in range(6):
+        lg = build_family(2, m)
+        began = time.monotonic()
+        verdicts.append("unsat" if solve(lg.graph, lg.label, 3) is None else "sat")
+        cells.append(f"m={m}:{verdicts[-1]}({time.monotonic() - began:.1f}s)")
+    # Stage 3 certifies a treewidth-2 instance beyond distance 3: cross-check
+    # it with a verified 4-dim witness and an independent linear-algebra-free
+    # refuter.
+    lg = build_family(2, 3)
+    witness = solve(lg.graph, lg.label, 4)
+    witness_ok = witness is not None and verify(lg.graph, lg.label, witness)
+    independent = refute(lg.graph, lg.label, 3)
     elapsed = time.monotonic() - start
-    table = ", ".join(f"m={r.m}:{r.verdict}({r.elapsed_s:.1f}s)" for r in rows)
-    unsat = [r.m for r in rows if r.verdict == "unsat"]
-    detail = f"budget={budget:.0f}s table=[{table}]"
-    ok = True
-    if unsat:
-        # A refutation certifies a treewidth-2 instance beyond distance 3;
-        # cross-check it with a verified 4-dim witness and an independent
-        # linear-algebra-free refuter.
-        m_star = min(unsat)
-        lg = build_family(2, m_star)
-        witness = solve(lg.graph, lg.label, 4)
-        witness_ok = witness is not None and verify(lg.graph, lg.label, witness)
-        independent = refute(lg.graph, lg.label, 3)
-        ok = witness_ok and independent is True
-        detail += (
-            f"; dimension 3 refuted at m={m_star} (n={lg.graph.n}): "
-            f"4-dim witness={witness_ok}, independent refutation={independent}"
-        )
-    else:
-        detail += "; no refutation at this scale (expected only for large m)"
-    report(7, "dimension scan k=2", ok, detail)
-    assert ok
-    assert len(rows) == 6
-    assert elapsed < budget + 120.0  # build time on top of the solve budget
+    ok = verdicts == _STAGE_VERDICTS and witness_ok and independent is True
+    report(
+        7,
+        "dimension table k=2 t=3",
+        ok,
+        f"table=[{', '.join(cells)}]; dimension 3 refuted at m=3 (n={lg.graph.n}): "
+        f"4-dim witness={witness_ok}, independent refutation={independent} "
+        f"in {elapsed:.1f}s",
+    )
+    assert verdicts == _STAGE_VERDICTS
+    assert witness_ok and independent is True
 
 
 def test_criterion_8_outerplanar_search(outerplanar_corpus):

@@ -492,26 +492,15 @@ class TestReduce:
             "FAIL: K23: no builtin configuration of this name under mutation 'k23-drop-min-size'"
         ]
 
-    def test_jobs_flag(self, capsys):
-        code, doc = run_cli(capsys, "reduce", "--config", "P3", "--jobs", "2", "--no-meta")
-        assert code == 0 and doc["suite_pass"]
-
-    def test_jobs_write_the_serial_document(self, capsys, tmp_path):
-        # The chunks of the pool scan past the counterexample; the document
-        # must still carry the serial counts, and check re-derives them.
-        docs = []
-        for jobs in ("1", "2"):
-            cert = tmp_path / f"jobs{jobs}.json"
-            argv = ["reduce", "--mutate", "triangle-drop-linking", "--jobs", jobs]
-            assert main(argv + ["--out", str(cert), "--no-meta"]) == 1
-            docs.append(json.loads(cert.read_text()))
-            code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
-            assert code == 0 and check_doc["valid"] and check_doc["notes"] == []
-        serial, parallel = ({k: v for k, v in d.items() if k != "meta"} for d in docs)
-        assert parallel == serial
-        assert (serial["configs"][0]["label_count"], serial["configs"][0]["family_count"]) == (
-            6, 10780
-        )
+    def test_triangle_drop_linking_counts(self, capsys, tmp_path):
+        # The counts up to the first counterexample; check re-derives them.
+        cert = tmp_path / "reduce.json"
+        argv = ["reduce", "--mutate", "triangle-drop-linking", "--out", str(cert), "--no-meta"]
+        assert main(argv) == 1
+        row = json.loads(cert.read_text())["configs"][0]
+        assert (row["label_count"], row["family_count"]) == (6, 10780)
+        code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
+        assert code == 0 and check_doc["valid"] and check_doc["notes"] == []
 
     @pytest.mark.parametrize(
         "forge, note", list(_FORGED_CHOICES.values()), ids=list(_FORGED_CHOICES)
@@ -540,7 +529,7 @@ class TestReduce:
         monkeypatch.setattr(
             reducibility,
             "check_reducible",
-            lambda cfg, jobs=1: CheckReport(cfg.name, "counterexample", 0, 0, 0.0, cex),
+            lambda cfg: CheckReport(cfg.name, "counterexample", 0, 0, 0.0, cex),
         )
         cert = tmp_path / "reduce.json"
         assert main(["reduce", "--config", config, "--out", str(cert), "--no-meta"]) == 1
@@ -568,9 +557,9 @@ class TestReduce:
             "FAIL: bridge: re-derived as reducible with 16 labels and 49787136 families"
         ]
 
-    def test_all_configs_parallel(self, capsys, tmp_path):
+    def test_all_configs_checked(self, capsys, tmp_path):
         out = tmp_path / "suite.json"
-        code = main(["reduce", "--all", "--jobs", "4", "--out", str(out), "--no-meta"])
+        code = main(["reduce", "--all", "--out", str(out), "--no-meta"])
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["suite_pass"] and len(doc["configs"]) == 7
@@ -917,7 +906,6 @@ _ERROR_CASES = {
         ["family", "--k", "2", "--m", "1", "--initial-label", "11"], 2, "input"
     ),
     "check-json-array": (["check", "{array}"], 2, "input"),
-    "reduce-jobs-0": (["reduce", "--config", "P3", "--jobs", "0"], 2, "input"),
     "probe-assignment-not-json": (
         ["probe", "{fam}", "--levels", "{levels}", "--assignment", "{not_json}"], 2, "input"
     ),
@@ -930,6 +918,22 @@ _ERROR_CASES = {
     "probe-assignment-bad-vector": (
         ["probe", "{fam}", "--levels", "{levels}", "--assignment", "{bad_vector}"], 2, "input"
     ),
+    # Every vertex on level 1 leaves no base clique, so k would be 0.
+    "probe-no-level-0": (
+        ["probe", "{fam}", "--levels", "{no_base}", "--assignment", "{witness}"], 2, "input"
+    ),
+    "probe-k-0": (
+        ["probe", "{fam}", "--levels", "{no_base}", "--assignment", "{witness}", "--k", "0"],
+        2,
+        "input",
+    ),
+    "assign-out-unwritable": (
+        ["assign", "{c4}", "--t", "2", "--out", "{missing}/x.json"], 2, "input"
+    ),
+    "family-graph-out-unwritable": (
+        ["family", "--k", "2", "--m", "1", "--graph-out", "{missing}/g.ilg"], 2, "input"
+    ),
+    "assign-graph-not-utf8": (["assign", "{not_utf8}", "--t", "2"], 2, "input"),
     # The C4 orientations are at distance 2.
     "distance-exceeds-t-max": (
         ["distance", "{c4}", "{o1}", "{o2}", "--t-max", "1"], 3, "budget"
@@ -951,12 +955,16 @@ class TestExitContract:
             "array": "[1, 2]",
             "fam": serialize_labeled_graph(lg.graph, lg.label),
             "levels": levels_to_text(lg.levels),
+            "no_base": levels_to_text([1] * lg.graph.n),
+            "witness": json.dumps({"assignment": witness}),
             "not_json": "{",
             "no_witness": json.dumps({"kind": "assign"}),
             "t4_witness": json.dumps({"assignment": solve(lg.graph, lg.label, 4).to_strings()}),
             "bad_vector": json.dumps({"assignment": ["01x"] + witness[1:]}),
         }
-        paths = {"c4": c4_file}
+        paths = {"c4": c4_file, "missing": str(tmp_path / "missing")}
+        paths["not_utf8"] = str(tmp_path / "not_utf8")
+        (tmp_path / "not_utf8").write_bytes(b"\xff\xfe4 4\n")
         for name, text in texts.items():
             paths[name] = str(tmp_path / name)
             (tmp_path / name).write_text(text + "\n")

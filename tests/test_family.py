@@ -11,7 +11,6 @@ from invdiam.family import (
     LeveledGraph,
     ProbeReport,
     build_family,
-    family_min_dim_scan,
     is_k_tree,
     probe_bad_cliques,
     probe_clique_independence,
@@ -312,33 +311,13 @@ class TestBadCliques:
         assert (0, 1) in report.bad
 
 
-class TestScan:
-    def test_k1_t1(self):
-        rows = family_min_dim_scan(1, 2, 1, 30.0)
-        assert [(r.m, r.verdict) for r in rows] == [
-            (0, "sat"),
-            (1, "sat"),
-            (2, "unsat"),
-        ]
-
-    def test_k1_t2_all_sat(self):
-        rows = family_min_dim_scan(1, 4, 2, 60.0)
-        assert all(r.verdict == "sat" for r in rows)
-
-    def test_k_validation(self):
-        with pytest.raises(ValueError):
-            family_min_dim_scan(3, 1, 5, 1.0)
-
-    def test_tiny_budget_times_out(self):
-        rows = family_min_dim_scan(2, 2, 3, 0.0)
-        assert all(r.verdict in ("timeout", "sat", "unsat") for r in rows)
-
-
 class TestMinDimGrowth:
     def test_k1_family_min_dims(self):
         assert min_dim(*_gl(1, 0), 4) == 0
         assert min_dim(*_gl(1, 1), 4) == 1
         assert min_dim(*_gl(1, 2), 4) == 2
+        assert min_dim(*_gl(1, 3), 4) == 2
+        assert min_dim(*_gl(1, 4), 4) == 2
 
     def test_k1_m2_one_dim_refutation(self):
         # Independent oracle: all 2^9 one-dimensional assignments fail.

@@ -15,9 +15,9 @@ through `assign --t 1..4`, `mindim`, `distance --oracle` (all-zero to the
 alternating orientation) and, if m <= 12, `diameter --engine both` and
 `bfs-diameter`; `search-hard --budget 256`, `search-hard --t-max 1
 --budget 512` and `search-hard --seed 3 --budget 1024` (longer climbs,
-with restarts) on each outer-planar file; `reduce --all`, `reduce --all
---jobs 2` (the worker-pool path) and the seven `reduce --mutate` controls,
-with `check` on the `k23-drop-min-size` control forged into a reducible row;
+with restarts) on each outer-planar file; `reduce --all` and the seven
+`reduce --mutate` controls, with `check` on the `k23-drop-min-size` control
+forged into a reducible row;
 `family --k 2 --m 2` and `--m 3`; the stage-3 and stage-4 k=2 family graphs
 (n=366 and n=3,282) written by `family --graph-out`, through `assign --t 3`
 (unsat) and `assign --t 4`, and the stage-3 graph through `mindim`; the
@@ -90,7 +90,6 @@ def main_corpus(out_dir: Path) -> None:
             ["search-hard", str(path), "--seed", "3", "--budget", "1024"],
         )
     run("reduce-all", ["reduce", "--all"])
-    run("reduce-all-jobs2", ["reduce", "--all", "--jobs", "2"])
     for mutation in sorted(builtin_mutations()):
         run(f"reduce-{mutation}", ["reduce", "--mutate", mutation])
     forged = json.loads(Path("reduce-k23-drop-min-size.json").read_text())
