@@ -1,9 +1,9 @@
 """Exact computation and verification for graph orientation inversions.
 
-Distances and diameters of orientation reconfiguration come in two
-independently implemented flavors: brute-force BFS over flip words and a
-complete backtracking solver for vector assignments over F2^t.  On top
-sit leveled clique-expansion families with lemma probes, and exhaustive
+Distances and diameters of orientation reconfiguration are computed by a
+complete backtracking solver for vector assignments over F2^t, and
+re-derived independently by brute-force BFS over flip words.  On top sit
+leveled clique-expansion families with lemma probes, and exhaustive
 re-verification of local reducibility configurations.
 """
 
@@ -34,7 +34,7 @@ from .graph import (
     parse_labeled_graph,
     serialize_labeled_graph,
 )
-from .inversion import bfs_diameter, bfs_distance, diff_label, invert
+from .inversion import bfs_diameter, diff_label, invert
 from .reducibility import (
     BoundaryFamily,
     ReducibilityConfiguration,

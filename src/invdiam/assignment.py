@@ -1,8 +1,8 @@
 """Vector assignments: solving f(u).f(v) = label(uv) over F2^t.
 
 The minimum dimension admitting an assignment for the XOR label of two
-orientations equals their inversion distance, so this solver doubles as
-the exact distance/diameter engine for graphs too large for plain BFS.
+orientations equals their inversion distance, so this solver is the CLI's
+exact distance/diameter engine; `check` re-derives small diameters by BFS.
 """
 
 from __future__ import annotations

@@ -3,16 +3,18 @@
 Every independent check lives here, and all of them that search run one
 domain-filtering search (`_search`) that shares no code with the solver or
 the reducibility scan.  Embedded witnesses (assignments, inversion
-sequences) are checked directly.  Claims that no t-dimensional assignment
-exists (unsat and exceeds verdicts, and the lower bound d-1 behind every
-least dimension d) are re-searched by `refute` for t up to REFUTE_MAX_DIM;
-above that, or past REFUTE_NODE_CAP search nodes, they are accepted with a
-note.  Every least dimension (mindim, distance, the assignment diameter,
-search-hard entries) goes through `_check_least`, which also rejects a d
-above the label's weight.  Diameters on at most DIAMETER_EDGE_BUDGET edges
-are re-derived by the engine that did not produce them, and so are the
-label and min_dim of a search-hard entry whose labels all fit its budget,
-from all BFS distances.
+sequences) are checked directly.  Every least dimension (mindim, distance,
+diameter, search-hard entries) goes through `_check_least`: a witness at d,
+none at d-1.  Claims that no t-dimensional assignment exists (unsat and
+exceeds verdicts, search-hard entries above t_max, and every lower bound
+d-1) go through `_check_refuted`.  Inverting the two ends of each
+1-labelled edge realizes any label, so such a claim is false at any t at
+least the label's weight; below that it is re-searched by `refute` for t
+up to REFUTE_MAX_DIM, and above that, or past REFUTE_NODE_CAP search
+nodes, accepted with a note.  On at most DIAMETER_EDGE_BUDGET edges, the
+hardest label and value of a diameter document, and the label and min_dim
+of a search-hard entry whose labels all fit its budget, are re-derived
+from all BFS distances by `_check_hardest_by_bfs`.
 
 Documents the CLI builds deterministically are rebuilt by the same writer
 and compared whole: family documents (apart from files and meta) by
@@ -30,13 +32,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import reducibility
-from .assignment import Assignment, diameter_via_assignment, verify
+from .assignment import Assignment, verify
 from .errors import BudgetExceededError, InputFormatError
 from .family import LeveledGraph, build_family, reconstruct_leveled
 from .family import probe_bad_cliques, probe_clique_independence, probe_extension_dichotomy
 from .gf2 import word_to_text
 from .graph import Graph, Label, Orientation, parse_labeled_graph, serialize_labeled_graph
-from .inversion import DIAMETER_EDGE_BUDGET, bfs_all_distances, bfs_diameter, invert
+from .inversion import DIAMETER_EDGE_BUDGET, bfs_all_distances, invert
 
 
 REFUTE_MAX_DIM = 8
@@ -266,10 +268,21 @@ def _graph_and_label(doc: dict) -> Tuple[Graph, Label]:
     return graph, file_label
 
 
-def _check_refuted(res: CheckResult, graph: Graph, label: Label, t: int, claim: str) -> None:
-    """Re-search the claim that no t-dimensional assignment exists, or note
-    that it was left undecided."""
-    refuted = refute(graph, label, t) if t <= REFUTE_MAX_DIM else None
+def _dimension(t) -> int:
+    """t, if it is a dimension: an int (not a bool) of at least 0."""
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        raise TypeError(f"dimension {t!r} is not a non-negative integer")
+    return t
+
+
+def _check_refuted(res: CheckResult, graph: Graph, label: Label, t, claim: str) -> None:
+    """The claim that no t-dimensional assignment exists: false at t at
+    least the label's weight (inverting the two ends of each 1-labelled
+    edge realizes any label), otherwise re-searched or noted undecided."""
+    if _dimension(t) >= label.bits.bit_count():
+        refuted = False
+    else:
+        refuted = refute(graph, label, t) if t <= REFUTE_MAX_DIM else None
     if refuted is None:
         res.note(f"{claim} accepted without re-search")
     elif res.require(refuted, f"{claim}: a {t}-dimensional assignment exists"):
@@ -280,7 +293,7 @@ def _check_witness(
     res: CheckResult, graph: Graph, label: Label, t: int, strings, name: str, prefix: str = ""
 ) -> None:
     witness = Assignment.from_strings(graph, strings)
-    if res.require(witness.t == t, f"{prefix}witness dimension differs from {name}"):
+    if res.require(witness.t == _dimension(t), f"{prefix}witness dimension differs from {name}"):
         res.require(verify(graph, label, witness), f"{prefix}witness fails an edge equation")
 
 
@@ -289,14 +302,11 @@ def _check_least(
 ) -> None:
     """The claim that d (the document's `name`) is the least dimension of
     label: a witness at d, none at d - 1.  At d = 0 without a witness the
-    label must be zero.  Inverting the two ends of each 1-labelled edge
-    realizes any label, so d may not exceed the label's weight."""
-    if d == 0 and strings is None:
+    label must be zero."""
+    if _dimension(d) == 0 and strings is None:
         res.require(label.bits == 0, f"{prefix}nonzero label with {name} 0")
         return
     _check_witness(res, graph, label, d, strings, name, prefix)
-    weight = label.bits.bit_count()
-    res.require(d <= weight, f"{prefix}{name} {d} exceeds the label's weight {weight}")
     if d > 0:
         _check_refuted(res, graph, label, d - 1, f"{prefix}lower bound")
 
@@ -329,55 +339,19 @@ def _check_distance(doc: dict, res: CheckResult) -> None:
         current = invert(current, xs)
     res.require(current == o2, "inversion sequence does not reach the target")
     res.require(len(doc["inversions"]) == d, "inversion count differs from distance")
-    oracle = doc.get("oracle")
-    if oracle is not None and oracle.get("skipped") is not None:
-        res.require(
-            oracle["bfs_distance"] is None and oracle["agree"] is None,
-            "skipped oracle reports a result",
-        )
-        res.note(f"oracle skipped: {oracle['skipped']}")
-    elif oracle is not None:
-        res.require(
-            oracle["agree"] == (oracle["bfs_distance"] == d),
-            "oracle agreement flag is inconsistent",
-        )
-        res.require(oracle["agree"], "engines disagree")
 
 
 def _check_diameter(doc: dict, res: CheckResult) -> None:
-    """Both diameter kinds: the assignment part's hardest label is re-checked
-    like a least dimension, the top-level diameter must equal every part,
-    and for |E| <= DIAMETER_EDGE_BUDGET the value is re-derived by the
-    engine that did not produce it (a BFS value by diameter_via_assignment,
-    otherwise by bfs_diameter)."""
-    graph, _ = _graph_and_label(doc)
-    if doc["kind"] == "bfs-diameter":
-        assign_part, bfs_part = None, {"diameter": doc["diameter"]}
-    else:
-        assign_part, bfs_part = doc.get("assign"), doc.get("bfs")
-    if assign_part is not None:
-        label = Label.from_string(graph, assign_part["hardest_label"])
-        _check_least(
-            res, graph, label, assign_part["diameter"], assign_part["assignment"], "diameter"
-        )
-    parts = [p["diameter"] for p in (assign_part, bfs_part) if p is not None]
-    if not parts:
-        res.fail("no engine result")
-        return
-    claimed = doc["diameter"]
-    res.require(all(d == claimed for d in parts), "diameter differs from an engine's result")
-    if assign_part is not None and bfs_part is not None:
-        res.require(doc.get("agree") is True, "engines disagree")
+    """The diameter is the least dimension of the hardest label, and on at
+    most DIAMETER_EDGE_BUDGET edges both are re-derived by BFS."""
+    graph, _ = parse_labeled_graph(doc["graph"])
+    label = Label.from_string(graph, doc["hardest_label"])
+    d = doc["diameter"]
+    _check_least(res, graph, label, d, doc["assignment"], "diameter")
     if graph.m > DIAMETER_EDGE_BUDGET:
         res.note(f"diameter accepted without re-derivation: |E| > {DIAMETER_EDGE_BUDGET}")
-    elif bfs_part is not None:
-        again = diameter_via_assignment(graph).diameter
-        if res.require(again == bfs_part["diameter"], f"assignment diameter is {again}"):
-            res.note("bfs diameter re-derived by the assignment engine")
     else:
-        again = bfs_diameter(graph)
-        if res.require(again == assign_part["diameter"], f"bfs diameter is {again}"):
-            res.note("assignment diameter re-derived by bfs")
+        _check_hardest_by_bfs(res, graph, label, d, "diameter")
 
 
 def _check_family_cert(doc: dict, res: CheckResult) -> None:
@@ -457,22 +431,31 @@ def _check_reduce(doc: dict, res: CheckResult) -> None:
 
 
 def _check_hardest_by_bfs(
-    res: CheckResult, i: int, graph: Graph, label: Label, claimed_dim, t_max: int
+    res: CheckResult,
+    graph: Graph,
+    label: Label,
+    claimed,
+    name: str,
+    prefix: str = "",
+    t_max: Optional[int] = None,
 ) -> None:
-    """An exhaustive entry's label must be the least word at the maximal
-    distance D with min_dim D, or, when D > t_max, the least word beyond
-    t_max with a null min_dim."""
+    """The one BFS rule for hardest labels: label must be the least word at
+    the largest distance D, and claimed (the document's `name`) must be D;
+    or, when t_max is given and D > t_max, the least word beyond t_max with
+    claimed null."""
     dist = bfs_all_distances(graph)
     top = max(dist)
-    if top <= t_max:
-        want_bits, want_dim = dist.index(top), top
+    if t_max is None or top <= t_max:
+        want_bits, want = dist.index(top), top
     else:
-        want_bits, want_dim = next(w for w, d in enumerate(dist) if d > t_max), None
-    want = Label(graph, want_bits).to_string()
-    ok = res.require(label.bits == want_bits, f"entry {i}: the hardest label is {want}")
-    ok = res.require(claimed_dim == want_dim, f"entry {i}: min_dim should be {want_dim}") and ok
+        want_bits, want = next(w for w, d in enumerate(dist) if d > t_max), None
+    ok = res.require(
+        label.bits == want_bits,
+        f"{prefix}the hardest label is {Label(graph, want_bits).to_string()}",
+    )
+    ok = res.require(claimed == want, f"{prefix}{name} should be {want}") and ok
     if ok:
-        res.note(f"entry {i}: hardest label re-derived by bfs")
+        res.note(f"{prefix}hardest label re-derived by bfs")
 
 
 def _check_search_hard(doc: dict, res: CheckResult) -> None:
@@ -488,7 +471,9 @@ def _check_search_hard(doc: dict, res: CheckResult) -> None:
             f"entry {i}: exhaustive flag differs from the budget",
         )
         if entry["exhaustive"] and graph.m <= DIAMETER_EDGE_BUDGET:
-            _check_hardest_by_bfs(res, i, graph, label, entry["min_dim"], doc["t_max"])
+            _check_hardest_by_bfs(
+                res, graph, label, entry["min_dim"], "min_dim", f"entry {i}: ", doc["t_max"]
+            )
         if entry["min_dim"] is None:
             _check_refuted(res, graph, label, doc["t_max"], f"entry {i}: above-t_max verdict")
         else:
@@ -501,7 +486,6 @@ _CHECKERS = {
     "assign": _check_assign_like,
     "mindim": _check_assign_like,
     "distance": _check_distance,
-    "bfs-diameter": _check_diameter,
     "diameter": _check_diameter,
     "family": _check_family_cert,
     "probe": _check_probe_cert,
@@ -513,7 +497,7 @@ _CHECKERS = {
 def check_certificate(doc: dict) -> Tuple[bool, str, List[str]]:
     """Re-validate an emitted certificate; returns (valid, kind, notes)."""
     kind = doc.get("kind")
-    checker = _CHECKERS.get(kind)
+    checker = _CHECKERS.get(kind) if isinstance(kind, str) else None
     res = CheckResult()
     if checker is None:
         res.fail(f"unknown certificate kind {kind!r}")

@@ -39,7 +39,7 @@ from .graph import (
     parse_labeled_graphs,
     serialize_labeled_graph,
 )
-from .inversion import bfs_diameter, bfs_distance, diff_label
+from .inversion import diff_label
 
 EXIT_OK = 0
 EXIT_ADVERSE = 1
@@ -62,6 +62,15 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise InputFormatError(f"cannot write {path}: {exc}") from None
+
+
+def _read_json(path: str, name: str):
+    """The JSON value in a file; nesting too deep for the parser is an input
+    error like any other unparsable text."""
+    try:
+        return json.loads(_read(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputFormatError(f"{name} is not valid JSON: {exc}") from None
 
 
 def _load_graph(path: str):
@@ -118,7 +127,7 @@ def cmd_distance(args) -> Tuple[dict, int]:
     d, witness = least_dim(graph, diff, t_max)
     if d is None:
         raise BudgetExceededError(f"distance exceeds t_max={t_max}")
-    doc = {
+    return {
         "kind": "distance",
         "graph": serialize_labeled_graph(graph, label),
         "orientation1": o1.to_string(),
@@ -127,54 +136,19 @@ def cmd_distance(args) -> Tuple[dict, int]:
         "distance": d,
         "assignment": witness.to_strings() if d > 0 else None,
         "inversions": assignment_to_inversions(witness) if d > 0 else [],
-        "oracle": None,
-    }
-    if args.oracle:
-        try:
-            bd = bfs_distance(graph, o1, o2)
-        except BudgetExceededError as exc:  # the cross-check is optional
-            doc["oracle"] = {"bfs_distance": None, "agree": None, "skipped": str(exc)}
-        else:
-            doc["oracle"] = {"bfs_distance": bd, "agree": bd == d}
-    return doc, EXIT_OK
-
-
-def cmd_bfs_diameter(args) -> Tuple[dict, int]:
-    graph, label = _load_graph(args.graph)
-    return {
-        "kind": "bfs-diameter",
-        "graph": serialize_labeled_graph(graph, label),
-        "diameter": bfs_diameter(graph),
     }, EXIT_OK
 
 
 def cmd_diameter(args) -> Tuple[dict, int]:
     graph, label = _load_graph(args.graph)
-    t_max = _t_max(args, graph)
-    doc = {
+    result = diameter_via_assignment(graph, _t_max(args, graph))
+    return {
         "kind": "diameter",
         "graph": serialize_labeled_graph(graph, label),
-        "engine": args.engine,
-        "assign": None,
-        "bfs": None,
-        "agree": None,
-    }
-    if args.engine in ("assign", "both"):
-        result = diameter_via_assignment(graph, t_max)
-        doc["assign"] = {
-            "diameter": result.diameter,
-            "hardest_label": result.hardest_label.to_string(),
-            "assignment": result.witness.to_strings(),
-        }
-        doc["diameter"] = result.diameter
-    if args.engine in ("bfs", "both"):
-        doc["bfs"] = {"diameter": bfs_diameter(graph)}
-        doc["diameter"] = doc["bfs"]["diameter"]
-    if args.engine == "both":
-        doc["agree"] = doc["assign"]["diameter"] == doc["bfs"]["diameter"]
-        if not doc["agree"]:
-            raise InvariantError("assignment and BFS diameters disagree")
-    return doc, EXIT_OK
+        "diameter": result.diameter,
+        "hardest_label": result.hardest_label.to_string(),
+        "assignment": result.witness.to_strings(),
+    }, EXIT_OK
 
 
 def cmd_family(args) -> Tuple[dict, int]:
@@ -193,10 +167,7 @@ def cmd_family(args) -> Tuple[dict, int]:
 def cmd_probe(args) -> Tuple[dict, int]:
     graph, label = _load_graph(args.graph)
     levels = parse_levels_text(_read(args.levels), graph.n)
-    try:
-        cert = json.loads(_read(args.assignment))
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"--assignment is not valid JSON: {exc}") from None
+    cert = _read_json(args.assignment, "--assignment")
     strings = cert.get("assignment") if isinstance(cert, dict) else cert
     if strings is None:
         raise InputFormatError("assignment certificate carries no witness")
@@ -284,10 +255,7 @@ def cmd_search_hard(args) -> Tuple[dict, int]:
 
 
 def cmd_check(args) -> Tuple[dict, int]:
-    try:
-        doc = json.loads(_read(args.certificate))
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"not valid JSON: {exc}") from None
+    doc = _read_json(args.certificate, "the certificate")
     if not isinstance(doc, dict):
         raise InputFormatError("a certificate must be a JSON object")
     valid, kind, notes = check_certificate(doc)
@@ -330,18 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("orientation1")
     p.add_argument("orientation2")
     p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--oracle", action="store_true", help="also run BFS (|E| <= 20, else skipped) and compare")
     p.set_defaults(handler=cmd_distance)
-    _add_common(p)
-
-    p = sub.add_parser("bfs-diameter", help="diameter by exhaustive BFS")
-    p.add_argument("graph")
-    p.set_defaults(handler=cmd_bfs_diameter)
     _add_common(p)
 
     p = sub.add_parser("diameter", help="inversion diameter")
     p.add_argument("graph")
-    p.add_argument("--engine", choices=("assign", "bfs", "both"), default="assign")
     p.add_argument("--t-max", type=int, default=None)
     p.set_defaults(handler=cmd_diameter)
     _add_common(p)
@@ -389,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _meta(args, started: float) -> dict:
     meta = {"tool": "invdiam", "version": __version__}
-    for key in ("seed", "budget", "t", "t_max", "k", "m", "engine"):
+    for key in ("seed", "budget", "t", "t_max", "k", "m"):
         if hasattr(args, key) and getattr(args, key) is not None:
             meta[key] = getattr(args, key)
     if not args.no_meta:

@@ -105,14 +105,12 @@ def inversion_moves(graph: Graph) -> Tuple[int, ...]:
     return tuple(sorted(words))
 
 
-def _distances_from_zero(graph: Graph, target: "int | None" = None) -> List[int]:
+def _distances_from_zero(graph: Graph) -> List[int]:
     """BFS over all 2^m flip words; dist -1 marks unreached (never expected).
 
     Direction-optimizing and layer-synchronous: a layer goes bottom-up (each
     unreached word takes the first move back into the previous layer) when
-    BOTTOM_UP_ALPHA * |frontier| > unreached, and top-down otherwise.  With
-    a target the search stops once the target's distance is known, mid-layer
-    in a top-down step, so only dist[target] is meant to be read.
+    BOTTOM_UP_ALPHA * |frontier| > unreached, and top-down otherwise.
     """
     moves = inversion_moves(graph)
     size = 1 << graph.m
@@ -134,37 +132,16 @@ def _distances_from_zero(graph: Graph, target: "int | None" = None) -> List[int]
                             dist[state] = d
                             layer.append(state)
                             break
-            if target is not None and dist[target] >= 0:
-                return dist
         else:
             for state in frontier:
                 for mv in moves:
                     nxt = state ^ mv
                     if dist[nxt] < 0:
                         dist[nxt] = d
-                        if nxt == target:
-                            return dist
                         layer.append(nxt)
         unreached -= len(layer)
         frontier = layer
     return dist
-
-
-def bfs_distance(graph: Graph, o1: Orientation, o2: Orientation) -> int:
-    """Shortest inversion count transforming o1 into o2 (exact BFS)."""
-    if o1.graph != graph or o2.graph != graph:
-        raise ValueError("orientations belong to a different graph")
-    if graph.m > DISTANCE_EDGE_BUDGET:
-        raise BudgetExceededError(
-            f"bfs_distance needs |E| <= {DISTANCE_EDGE_BUDGET}, got {graph.m}"
-        )
-    target = o1.flips ^ o2.flips
-    if target == 0:
-        return 0
-    dist = _distances_from_zero(graph, target=target)
-    if dist[target] < 0:
-        raise InvariantError("orientation graph is disconnected")
-    return dist[target]
 
 
 def bfs_all_distances(graph: Graph) -> List[int]:
@@ -202,7 +179,6 @@ __all__ = [
     "invert",
     "diff_label",
     "inversion_moves",
-    "bfs_distance",
     "bfs_all_distances",
     "bfs_diameter",
 ]

@@ -63,8 +63,10 @@ class TestUndecidedClaims:
     """Claims the refuter cannot decide are accepted with a note."""
 
     def test_above_max_dim(self):
-        g = Graph(2, [(0, 1)])
-        doc = _unsat_doc(g, Label(g, 1), certificates.REFUTE_MAX_DIM + 1)
+        # A 10-edge matching labelled all ones has weight 10, so the claim
+        # at t = 9 is neither refuted by the weight nor re-searched.
+        g = Graph(20, [(2 * i, 2 * i + 1) for i in range(10)])
+        doc = _unsat_doc(g, Label(g, (1 << 10) - 1), certificates.REFUTE_MAX_DIM + 1)
         assert check_certificate(doc) == (
             True, "assign", ["unsat verdict accepted without re-search"]
         )
@@ -76,14 +78,12 @@ class TestUndecidedClaims:
         assert valid and notes == ["unsat verdict accepted without re-search"]
 
     def test_least_dimension_above_the_weight_is_invalid(self):
-        # C4 with label 0101 needs 2 dimensions; its weight is 2, so 10 is
-        # impossible even though 9 is too high for the refuter.
+        # C4 with label 0101 needs 2 dimensions; its weight is 2, so the
+        # lower bound 9 is false even though 9 is too high for the refuter.
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         doc = _padded_mindim_doc(g, Label.from_string(g, "0101"), 2, 10)
         assert check_certificate(doc) == (
-            False,
-            "mindim",
-            ["FAIL: t 10 exceeds the label's weight 2", "lower bound accepted without re-search"],
+            False, "mindim", ["FAIL: lower bound: a 9-dimensional assignment exists"]
         )
 
     def test_undecided_lower_bound_is_noted(self):
@@ -95,7 +95,7 @@ class TestUndecidedClaims:
             True, "mindim", ["lower bound accepted without re-search"]
         )
 
-    @pytest.mark.parametrize("t", [-1, "3"])
+    @pytest.mark.parametrize("t", [-1, "3", 9.5, True])
     def test_malformed_dimension_is_invalid(self, t):
         g = Graph(2, [(0, 1)])
         valid, _, notes = check_certificate(_unsat_doc(g, Label(g, 1), t))

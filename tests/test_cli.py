@@ -16,6 +16,7 @@ from invdiam.assignment import (
 )
 from invdiam.certificates import levels_to_text
 from invdiam.cli import main
+from invdiam.errors import BudgetExceededError
 from invdiam.family import build_family
 from invdiam.graph import (
     Label,
@@ -23,7 +24,7 @@ from invdiam.graph import (
     parse_labeled_graphs,
     serialize_labeled_graph,
 )
-from invdiam.inversion import DISTANCE_EDGE_BUDGET
+from invdiam.inversion import DISTANCE_EDGE_BUDGET, bfs_all_distances, bfs_diameter
 from invdiam.reducibility import CheckReport, Counterexample, builtin_configs, enumerate_families
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -159,22 +160,25 @@ class TestDistance:
         assert code == 0 and doc["distance"] == 1
 
     def test_oracle_agreement(self, capsys, c4_file, tmp_path):
+        # The distance the solver emits is the BFS distance of the test.
         o1 = tmp_path / "o1.txt"
         o2 = tmp_path / "o2.txt"
         o1.write_text("0000\n")
         # Canonical edge order (0,1),(0,3),(1,2),(2,3): flip the opposite pair.
         o2.write_text("1001\n")
-        code, doc = run_cli(
-            capsys, "distance", c4_file, str(o1), str(o2), "--oracle", "--no-meta"
-        )
+        code, doc = run_cli(capsys, "distance", c4_file, str(o1), str(o2), "--no-meta")
         assert code == 0 and doc["distance"] == 2
-        assert doc["oracle"] == {"bfs_distance": 2, "agree": True}
+        graph, _ = parse_labeled_graph(C4)
+        assert bfs_all_distances(graph)[Label.from_string(graph, doc["label"]).bits] == 2
 
     def test_oracle_skipped_beyond_bfs_budget(self, capsys, tmp_path):
-        # A 21-edge outer-planar fixture: one edge over the BFS budget.
+        # A 21-edge outer-planar fixture: one edge over the BFS budget, so
+        # only the solver's distance and check's re-search vouch for it.
         fixture = FIXTURES / "outerplanar" / "outerplanar_n12.ilg"
         graph, _ = parse_labeled_graphs(fixture.read_text())[0]
         assert graph.m == DISTANCE_EDGE_BUDGET + 1
+        with pytest.raises(BudgetExceededError):
+            bfs_all_distances(graph)
         g = tmp_path / "g.ilg"
         g.write_text(serialize_labeled_graph(graph, Label(graph, 0)) + "\n")
         o1 = tmp_path / "o1.txt"
@@ -183,55 +187,38 @@ class TestDistance:
         alternating = "".join("1" if e % 2 == 0 else "0" for e in range(graph.m))
         o2.write_text(alternating + "\n")
         cert = tmp_path / "cert.json"
-        code = main(
-            ["distance", str(g), str(o1), str(o2), "--oracle", "--out", str(cert), "--no-meta"]
-        )
+        code = main(["distance", str(g), str(o1), str(o2), "--out", str(cert), "--no-meta"])
         assert code == 0
         doc = json.loads(cert.read_text())
         assert doc["distance"] == min_dim(graph, Label.from_string(graph, alternating), graph.m)
-        assert doc["oracle"] == {
-            "bfs_distance": None,
-            "agree": None,
-            "skipped": f"bfs_distance needs |E| <= {DISTANCE_EDGE_BUDGET}, got {graph.m}",
-        }
         code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
         assert code == 0 and check_doc["valid"], check_doc
         assert "Traceback" not in capsys.readouterr().err
-        # A skipped oracle carries no result; a false or inconsistent one is rejected.
-        for oracle in (
-            dict(doc["oracle"], agree=False),
-            {"bfs_distance": doc["distance"] + 1, "agree": True},
-            {"bfs_distance": doc["distance"] + 1, "agree": False},
-        ):
-            cert.write_text(json.dumps(dict(doc, oracle=oracle)))
-            code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
-            assert code == 1 and not check_doc["valid"], oracle
 
 
 class TestDiameter:
     def test_k4_both_engines(self, capsys, k4_file):
-        code, doc = run_cli(
-            capsys, "diameter", k4_file, "--engine", "both", "--no-meta"
-        )
-        assert code == 0
-        assert doc["assign"]["diameter"] == 3 and doc["bfs"]["diameter"] == 3
-        assert doc["agree"] is True
+        # The solver's diameter against BFS run in the test.
+        code, doc = run_cli(capsys, "diameter", k4_file, "--no-meta")
+        assert code == 0 and doc["diameter"] == 3 == bfs_diameter(parse_labeled_graph(K4)[0])
+        assert doc["hardest_label"] == "101100" and len(doc["assignment"][0]) == 3
 
     def test_k2(self, capsys, k2_file):
         code, doc = run_cli(capsys, "diameter", k2_file, "--no-meta")
-        assert code == 0 and doc["assign"]["diameter"] == 1
+        assert code == 0 and doc["diameter"] == 1
 
     def test_p3(self, capsys, tmp_path):
         p = tmp_path / "p3.ilg"
         p.write_text("3 2\n0 1 0\n1 2 0\n")
         code, doc = run_cli(capsys, "diameter", str(p), "--no-meta")
-        assert code == 0 and doc["assign"]["diameter"] == 1
+        assert code == 0 and doc["diameter"] == 1
 
     def test_bfs_budget_exit_3(self, capsys, tmp_path):
-        edges = "\n".join(f"{i} {i+1} 0" for i in range(13))
+        # 25 edges: one over the label budget of the assignment diameter.
+        edges = "\n".join(f"{i} {i+1} 0" for i in range(25))
         p = tmp_path / "long.ilg"
-        p.write_text(f"14 13\n{edges}\n")
-        code = main(["bfs-diameter", str(p)])
+        p.write_text(f"26 25\n{edges}\n")
+        code = main(["diameter", str(p)])
         doc = json.loads(capsys.readouterr().out)
         assert code == 3 and doc["category"] == "budget"
 
@@ -652,10 +639,19 @@ def _k4_diameter_too_high(tmp_path, c4):
     graphs.write_text(K4)
     doc = _emitted(tmp_path, ["diameter", str(graphs)])
     graph, _ = parse_labeled_graph(K4)
-    witness = solve(graph, Label.from_string(graph, doc["assign"]["hardest_label"]), 4)
-    doc["assign"].update(diameter=4, assignment=witness.to_strings())
-    doc["diameter"] = 4
+    witness = solve(graph, Label.from_string(graph, doc["hardest_label"]), 4)
+    doc.update(diameter=4, assignment=witness.to_strings())
     return doc
+
+
+def _c4_unsat_above_weight(tmp_path, c4):
+    # C4's label 1010 has weight 2, so it has an assignment at every t >= 2,
+    # even where the refuter does not search.
+    return dict(_c4_unsat(tmp_path, c4), t=20)
+
+
+def _c4_exceeds_above_weight(tmp_path, c4):
+    return dict(_c4_exceeds(tmp_path, c4), t=20, t_max=20)
 
 
 def _stage4_exceeds(tmp_path, c4):
@@ -677,6 +673,8 @@ def _stage4_exceeds(tmp_path, c4):
 _FALSE_NEGATIVES = {
     "c4-exceeds": _c4_exceeds,
     "c4-unsat": _c4_unsat,
+    "c4-unsat-above-weight": _c4_unsat_above_weight,
+    "c4-exceeds-above-weight": _c4_exceeds_above_weight,
     "c4-mindim-too-high": _c4_mindim_too_high,
     "c4-distance-too-high": _c4_distance_too_high,
     "k4-search-hard-null": _k4_search_hard_null,
@@ -693,7 +691,7 @@ class TestCheckCommand:
             ["assign", "{k2}", "--t", "1"],
             ["assign", "{c4}", "--t", "1"],
             ["mindim", "{c4}"],
-            ["diameter", "{k4}", "--engine", "both"],
+            ["diameter", "{k4}"],
             ["family", "--k", "1", "--m", "2"],
         ],
     )
@@ -712,7 +710,7 @@ class TestCheckCommand:
         o2.write_text("1010\n")
         cert = tmp_path / "cert.json"
         assert main(
-            ["distance", c4_file, str(o1), str(o2), "--oracle", "--out", str(cert), "--no-meta"]
+            ["distance", c4_file, str(o1), str(o2), "--out", str(cert), "--no-meta"]
         ) == 0
         code, doc = run_cli(capsys, "check", str(cert), "--no-meta")
         assert code == 0 and doc["valid"]
@@ -808,6 +806,16 @@ class TestCheckCommand:
         p.write_text("{")
         assert main(["check", str(p)]) == 2
 
+    @pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])
+    def test_kind_not_a_string_is_unknown(self, capsys, tmp_path, kind):
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps({"kind": kind}))
+        code = main(["check", str(p), "--no-meta"])
+        out = capsys.readouterr()
+        doc = json.loads(out.out)
+        assert code == 1 and not doc["valid"] and out.err == ""
+        assert doc["notes"] == [f"FAIL: unknown certificate kind {kind!r}"]
+
     @pytest.mark.parametrize(
         "argv, note",
         [
@@ -837,43 +845,49 @@ class TestCheckCommand:
         assert any(n.endswith("-dimensional assignment exists") for n in doc["notes"]), doc
 
 
+def _k4_other_hardest_label(doc):
+    # 010011 also needs 3 dimensions, but it is not the least such word.
+    graph, _ = parse_labeled_graph(K4)
+    witness = solve(graph, Label.from_string(graph, "010011"), 3)
+    doc.update(hardest_label="010011", assignment=witness.to_strings())
+
+
 class TestDiameterClaims:
-    """check re-derives each diameter with the engine that did not produce
-    it; K4's diameter is 3."""
+    """check re-derives each diameter by one BFS rule: the hardest label is
+    the least word at the largest BFS distance, and the diameter is that
+    distance.  K4's diameter is 3, first reached at 101100."""
+
+    def test_true_claims_re_derived(self, capsys, tmp_path, corpus_n5):
+        for name, graph in corpus_n5:
+            p = tmp_path / name
+            p.write_text(serialize_labeled_graph(graph, Label(graph, 0)) + "\n")
+            cert = tmp_path / "cert.json"
+            assert main(["diameter", str(p), "--out", str(cert), "--no-meta"]) == 0
+            code, doc = run_cli(capsys, "check", str(cert), "--no-meta")
+            assert code == 0 and doc["valid"], (name, doc)
+            assert doc["notes"][-1] == "hardest label re-derived by bfs", (name, doc)
 
     @pytest.mark.parametrize(
-        "argv, note",
+        "tamper, fails",
         [
-            (["bfs-diameter"], "bfs diameter re-derived by the assignment engine"),
-            (["diameter", "--engine", "bfs"], "bfs diameter re-derived by the assignment engine"),
-            (["diameter", "--engine", "both"], "bfs diameter re-derived by the assignment engine"),
-            (["diameter"], "assignment diameter re-derived by bfs"),
-        ],
-        ids=["bfs-diameter", "bfs", "both", "assign"],
-    )
-    def test_true_claims_re_derived(self, capsys, tmp_path, k4_file, argv, note):
-        cert = tmp_path / "cert.json"
-        assert main([argv[0], k4_file, *argv[1:], "--out", str(cert), "--no-meta"]) == 0
-        code, doc = run_cli(capsys, "check", str(cert), "--no-meta")
-        assert code == 0 and doc["valid"] and doc["notes"][-1] == note, doc
-
-    @pytest.mark.parametrize(
-        "argv, tamper",
-        [
-            (["bfs-diameter"], lambda doc: doc.update(diameter=7)),
             (
-                ["diameter", "--engine", "both"],
-                lambda doc: (doc["bfs"].update(diameter=5), doc.update(agree=False, diameter=5)),
+                lambda doc: doc.update(diameter=7),
+                [
+                    "FAIL: witness dimension differs from diameter",
+                    "FAIL: lower bound: a 6-dimensional assignment exists",
+                    "FAIL: diameter should be 3",
+                ],
             ),
             (
-                ["diameter", "--engine", "bfs"],
-                lambda doc: (doc["bfs"].update(diameter=9), doc.update(diameter=9)),
+                lambda doc: doc.update(diameter=2),
+                ["FAIL: witness dimension differs from diameter", "FAIL: diameter should be 3"],
             ),
+            (_k4_other_hardest_label, ["FAIL: the hardest label is 101100"]),
         ],
-        ids=["bfs-diameter-7", "both-bfs-5-disagree", "bfs-only-9"],
+        ids=["diameter-7", "diameter-2", "hardest-label-010011"],
     )
-    def test_false_claims_rejected(self, capsys, tmp_path, k4_file, argv, tamper):
-        doc = _emitted(tmp_path, [argv[0], k4_file, *argv[1:]])
+    def test_false_claims_rejected(self, capsys, tmp_path, k4_file, tamper, fails):
+        doc = _emitted(tmp_path, ["diameter", k4_file])
         tamper(doc)
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps(doc))
@@ -881,7 +895,7 @@ class TestDiameterClaims:
         out = capsys.readouterr()
         check_doc = json.loads(out.out)
         assert code == 1 and not check_doc["valid"] and out.err == "", check_doc
-        assert "FAIL: assignment diameter is 3" in check_doc["notes"]
+        assert [n for n in check_doc["notes"] if n.startswith("FAIL")] == fails
 
 
 # Each argument error exits 2 with a JSON error document, and a distance
@@ -906,6 +920,11 @@ _ERROR_CASES = {
         ["family", "--k", "2", "--m", "1", "--initial-label", "11"], 2, "input"
     ),
     "check-json-array": (["check", "{array}"], 2, "input"),
+    # Nesting too deep for the JSON parser.
+    "check-deep-json": (["check", "{deep}"], 2, "input"),
+    "probe-assignment-deep-json": (
+        ["probe", "{fam}", "--levels", "{levels}", "--assignment", "{deep}"], 2, "input"
+    ),
     "probe-assignment-not-json": (
         ["probe", "{fam}", "--levels", "{levels}", "--assignment", "{not_json}"], 2, "input"
     ),
@@ -953,6 +972,7 @@ class TestExitContract:
             "o1": "0000",
             "o2": "1001",
             "array": "[1, 2]",
+            "deep": "[" * 100000 + "]" * 100000,
             "fam": serialize_labeled_graph(lg.graph, lg.label),
             "levels": levels_to_text(lg.levels),
             "no_base": levels_to_text([1] * lg.graph.n),
@@ -992,9 +1012,7 @@ class TestDeterminism:
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         for out in (a, b):
-            assert main(
-                ["diameter", k4_file, "--engine", "both", "--out", str(out), "--no-meta"]
-            ) == 0
+            assert main(["diameter", k4_file, "--out", str(out), "--no-meta"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_search_hard_seeded(self, capsys, tmp_path):

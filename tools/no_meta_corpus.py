@@ -8,12 +8,14 @@ checkouts with `diff -r` on their directories:
     PYTHONPATH=src python3 tools/no_meta_corpus.py /tmp/corpus-new
 
 A traceback is recorded as `exit traceback ...`; the script then still
-runs the rest, and exits 1 listing the failed invocations on stderr.
+runs the rest.  It exits 1, listing them on stderr, if any invocation
+ended in a traceback, or emitted a document other than an error document
+that `check` did not accept.
 
 Corpus: each corpus_n5 and outer-planar fixture graph, relabelled 1010...,
-through `assign --t 1..4`, `mindim`, `distance --oracle` (all-zero to the
-alternating orientation) and, if m <= 12, `diameter --engine both` and
-`bfs-diameter`; `search-hard --budget 256`, `search-hard --t-max 1
+through `assign --t 1..4`, `mindim`, `distance` (all-zero to the
+alternating orientation) and, if m <= 12, `diameter`;
+`search-hard --budget 256`, `search-hard --t-max 1
 --budget 512` and `search-hard --seed 3 --budget 1024` (longer climbs,
 with restarts) on each outer-planar file; `reduce --all` and the seven
 `reduce --mutate` controls, with `check` on the `k23-drop-min-size` control
@@ -75,10 +77,9 @@ def main_corpus(out_dir: Path) -> None:
         for t in range(1, 5):
             run(f"{name}.assign{t}", ["assign", f"{name}.ilg", "--t", str(t)])
         run(f"{name}.mindim", ["mindim", f"{name}.ilg"])
-        run(f"{name}.distance", ["distance", f"{name}.ilg", f"{name}.o1", f"{name}.o2", "--oracle"])
+        run(f"{name}.distance", ["distance", f"{name}.ilg", f"{name}.o1", f"{name}.o2"])
         if graph.m <= 12:
-            run(f"{name}.diameter", ["diameter", f"{name}.ilg", "--engine", "both"])
-            run(f"{name}.bfs-diameter", ["bfs-diameter", f"{name}.ilg"])
+            run(f"{name}.diameter", ["diameter", f"{name}.ilg"])
     for path in sorted((FIXTURES / "outerplanar").glob("*.ilg")):
         run(f"{path.stem}.search-hard", ["search-hard", str(path), "--budget", "256"])
         run(
@@ -121,6 +122,29 @@ def main_corpus(out_dir: Path) -> None:
         )
 
 
+def _document(record: Path):
+    """The JSON document a .out record holds, or None after a traceback."""
+    try:
+        return json.loads(record.read_text().partition("\n")[2])
+    except json.JSONDecodeError:
+        return None
+
+
+def unaccepted(out_dir: Path):
+    """Invocations whose document is not an error document but whose check
+    is not valid: true.  A forged document checked on its own has no
+    invocation record and is skipped."""
+    for check in sorted(out_dir.glob("*.check.out")):
+        record = check.with_name(check.name[: -len(".check.out")] + ".out")
+        if not record.exists():
+            continue
+        doc, verdict = _document(record), _document(check)
+        if doc is None or doc.get("kind") == "error":
+            continue
+        if verdict is None or verdict.get("valid") is not True:
+            yield record.stem
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: no_meta_corpus.py OUT_DIR")
@@ -129,6 +153,12 @@ if __name__ == "__main__":
     crashed = [
         p.stem for p in sorted(out.glob("*.out")) if p.read_text().startswith("exit traceback")
     ]
-    if crashed:
-        print("invocations that ended in a traceback:", *crashed, sep="\n  ", file=sys.stderr)
+    findings = (
+        ("invocations that ended in a traceback:", crashed),
+        ("invocations whose document check did not accept:", list(unaccepted(out))),
+    )
+    for heading, names in findings:
+        if names:
+            print(heading, *names, sep="\n  ", file=sys.stderr)
+    if any(names for _, names in findings):
         sys.exit(1)
