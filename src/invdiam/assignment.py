@@ -19,6 +19,9 @@ from .errors import BudgetExceededError
 from .graph import Graph, Label
 
 DIAMETER_LABEL_BUDGET = 24
+# The root of a search lists all 2^t words of F2^t (2^24 words take about
+# 1 GB); a search at a larger t raises BudgetExceededError.
+SEARCH_DIM_BUDGET = 24
 _DEADLINE_CHECK_INTERVAL = 2048
 
 
@@ -156,7 +159,8 @@ class _SolveContext:
         Backtracking is complete: the candidate list at each vertex is
         exactly the affine solution set of its constraints against the
         assigned prefix, ascending (a preferred word, if given and legal,
-        is tried first).
+        is tried first).  On a nonempty graph a t above SEARCH_DIM_BUDGET
+        raises BudgetExceededError when the search starts.
 
         With `canonical`, only coordinate-canonical assignments are
         yielded, for callers that ask whether an assignment exists and keep
@@ -188,6 +192,10 @@ class _SolveContext:
             if label_bits == 0:
                 yield []
             return
+        if t > SEARCH_DIM_BUDGET:
+            raise BudgetExceededError(
+                f"a search at t={t} lists 2^{t} root words; the budget is t <= {SEARCH_DIM_BUDGET}"
+            )
         order = self.order
         forward = self.forward
         solve_bits = gf2.solve_bits

@@ -312,9 +312,18 @@ def _check_least(
 
 
 def _check_assign_like(doc: dict, res: CheckResult) -> None:
+    """An `assign` verdict at t, or a `mindim` verdict: sat at its least
+    dimension t <= t_max, or exceeds with t = t_max."""
     graph, label = _graph_and_label(doc)
     verdict = doc["verdict"]
-    if verdict == "sat" and doc["kind"] == "mindim":
+    mindim = doc["kind"] == "mindim"
+    if mindim:
+        t_max = _dimension(doc["t_max"])
+        if verdict == "sat":
+            res.require(_dimension(doc["t"]) <= t_max, "sat verdict with t above t_max")
+        elif verdict == "exceeds":
+            res.require(_dimension(doc["t"]) == t_max, "exceeds verdict with t other than t_max")
+    if verdict == "sat" and mindim:
         _check_least(res, graph, label, doc["t"], doc["assignment"], "t")
     elif verdict == "sat":
         _check_witness(res, graph, label, doc["t"], doc["assignment"], "t")

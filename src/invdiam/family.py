@@ -23,7 +23,7 @@ from .graph import Graph, Label
 GROWTH_GUARD = 10**6
 
 
-@dataclass
+@dataclass(slots=True)
 class CliqueRecord:
     """A registered k-clique: sorted vertices, level, children per stage."""
 
@@ -133,10 +133,8 @@ def build_family(k: int, m: int, initial_label=None) -> LeveledGraph:
     projected_family_size(k, m)  # raises past GROWTH_GUARD
     init_bits = _normalize_initial_label(k, initial_label)
 
-    base_edges = list(combinations(range(k), 2))
-    edge_bits: Dict[Tuple[int, int], int] = {
-        pair: (init_bits >> i) & 1 for i, pair in enumerate(base_edges)
-    }
+    pairs: List[Tuple[int, int]] = list(combinations(range(k), 2))
+    ones = [pair for i, pair in enumerate(pairs) if (init_bits >> i) & 1]
     levels: List[int] = [0] * k
     registry: List[CliqueRecord] = [CliqueRecord(tuple(range(k)), 0)]
     n = k
@@ -149,17 +147,19 @@ def build_family(k: int, m: int, initial_label=None) -> LeveledGraph:
                 n += 1
                 levels.append(stage)
                 for j, v in enumerate(clique.vertices):
-                    edge_bits[(v, u)] = (pattern >> j) & 1
+                    pair = (v, u)
+                    pairs.append(pair)
+                    if (pattern >> j) & 1:
+                        ones.append(pair)
                 clique.children.append((u, stage))
                 for keep in combinations(clique.vertices, k - 1):
                     registry.append(
                         CliqueRecord(tuple(sorted(keep + (u,))), stage)
                     )
-    graph = Graph(n, edge_bits.keys())
+    graph = Graph(n, pairs)
     bits = 0
-    for pair, b in edge_bits.items():
-        if b:
-            bits |= 1 << graph.edge_index(*pair)
+    for pair in ones:
+        bits |= 1 << graph.edge_index(*pair)
     return LeveledGraph(graph, Label(graph, bits), tuple(levels), k, m, tuple(registry))
 
 

@@ -8,14 +8,18 @@ Orientation word refers to the edge with canonical index e.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import InputFormatError
 from .gf2 import text_to_word, word_to_text
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with canonical edge order."""
+    """Simple undirected graph on vertices 0..n-1 with canonical edge order.
+
+    `edges` holds the canonical (u, v) pairs, u < v, sorted; `adjacency[v]`
+    is the ascending tuple of v's neighbours.
+    """
 
     __slots__ = ("n", "edges", "adjacency", "_edge_index")
 
@@ -23,28 +27,34 @@ class Graph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         canon: List[Tuple[int, int]] = []
-        for u, v in edges:
+        for pair in edges:
+            u, v = pair
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if u > v:
                 u, v = v, u
+                pair = (u, v)
+            elif type(pair) is not tuple:
+                pair = (u, v)
+            # else the caller's tuple is already canonical and is kept as is
             if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            canon.append((u, v))
+            canon.append(pair)
         canon.sort()
         for i in range(1, len(canon)):
             if canon[i] == canon[i - 1]:
                 raise ValueError(f"duplicate edge {canon[i]}")
         self.n = n
         self.edges: Tuple[Tuple[int, int], ...] = tuple(canon)
-        adj: List[set] = [set() for _ in range(n)]
-        index: Dict[Tuple[int, int], int] = {}
-        for e, (u, v) in enumerate(self.edges):
-            adj[u].add(v)
-            adj[v].add(u)
-            index[(u, v)] = e
-        self.adjacency: Tuple[FrozenSet[int], ...] = tuple(frozenset(s) for s in adj)
-        self._edge_index = index
+        # Edges are sorted, so appending in edge order keeps each list ascending.
+        adj: List[List[int]] = [[] for _ in range(n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        self.adjacency: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self._edge_index: Dict[Tuple[int, int], int] = {
+            pair: e for e, pair in enumerate(self.edges)
+        }
 
     @property
     def m(self) -> int:

@@ -107,9 +107,9 @@ class ReducibilityConfiguration:
         if len(self.rules) != len(self.boundary):
             raise ValueError("one rule per boundary vertex required")
         for u in self.boundary:
-            if not g.adjacency[u] & hset:
+            if hset.isdisjoint(g.adjacency[u]):
                 raise ValueError(f"boundary vertex {u} has no edge into H")
-            if g.adjacency[u] & bset:
+            if not bset.isdisjoint(g.adjacency[u]):
                 raise ValueError(f"boundary vertices {u} adjacency violates independence")
         fixed = dict(self.fixed_labels)
         if len(fixed) != len(self.fixed_labels):

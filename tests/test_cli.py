@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from invdiam import gf2, reducibility
+from invdiam import assignment, gf2, reducibility
 from invdiam.assignment import (
     assignment_to_inversions,
     hardest_label,
@@ -91,20 +91,26 @@ class TestMindim:
         assert code == 0 and doc["verdict"] == "exceeds"
 
 
+def _count_searches(monkeypatch):
+    """A one-element list counting the solver searches started from now on."""
+    calls = [0]
+    search = assignment._SolveContext.search
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return search(self, *args, **kwargs)
+
+    monkeypatch.setattr(assignment._SolveContext, "search", counted)
+    return calls
+
+
 class TestSingleSearch:
     """mindim, distance and search-hard take the dimension and the witness
-    from one search."""
+    from one search per dimension tried."""
 
     @pytest.mark.parametrize("command", ["mindim", "distance"])
     def test_as_many_solves_as_min_dim(self, capsys, monkeypatch, tmp_path, c4_file, command):
-        calls = [0]
-        solve_bits = gf2.solve_bits
-
-        def counted(*args):
-            calls[0] += 1
-            return solve_bits(*args)
-
-        monkeypatch.setattr(gf2, "solve_bits", counted)
+        calls = _count_searches(monkeypatch)
         graph, label = parse_labeled_graph(C4)
         # The baseline is least_dim, min_dim with its witness: min_dim itself
         # searches only canonical assignments, a different tree.
@@ -123,14 +129,7 @@ class TestSingleSearch:
         assert calls[0] == expected > 0
 
     def test_search_hard_solves_only_in_hardest_label(self, capsys, monkeypatch, tmp_path):
-        calls = [0]
-        solve_bits = gf2.solve_bits
-
-        def counted(*args):
-            calls[0] += 1
-            return solve_bits(*args)
-
-        monkeypatch.setattr(gf2, "solve_bits", counted)
+        calls = _count_searches(monkeypatch)
         text = (FIXTURES / "outerplanar" / "outerplanar_n8.ilg").read_text()
         graph, _ = parse_labeled_graphs(text)[0]
         result = hardest_label(graph, 4, 256)
@@ -668,19 +667,39 @@ def _stage4_exceeds(tmp_path, c4):
     }
 
 
+def _c4_exceeds_t_above_t_max(tmp_path, c4):
+    return dict(_emitted(tmp_path, ["mindim", c4, "--t-max", "1"]), t=99)
+
+
+def _c4_mindim_above_t_max(tmp_path, c4):
+    return dict(_emitted(tmp_path, ["mindim", c4]), t_max=1)
+
+
+def _c4_mindim_without_t_max(tmp_path, c4):
+    doc = _emitted(tmp_path, ["mindim", c4])
+    del doc["t_max"]
+    return doc
+
+
+_EXISTS = "-dimensional assignment exists"
+
 # Negative verdicts and lower bounds edited to be false: check re-searches
-# each and finds the assignment the claim denies.
+# each and finds the assignment the claim denies.  The last three are mindim
+# documents whose t contradicts t_max, or that lack it: C4 needs t = 2.
 _FALSE_NEGATIVES = {
-    "c4-exceeds": _c4_exceeds,
-    "c4-unsat": _c4_unsat,
-    "c4-unsat-above-weight": _c4_unsat_above_weight,
-    "c4-exceeds-above-weight": _c4_exceeds_above_weight,
-    "c4-mindim-too-high": _c4_mindim_too_high,
-    "c4-distance-too-high": _c4_distance_too_high,
-    "k4-search-hard-null": _k4_search_hard_null,
-    "k4-search-hard-too-high": _k4_search_hard_too_high,
-    "k4-diameter-too-high": _k4_diameter_too_high,
-    "stage4-exceeds": _stage4_exceeds,
+    "c4-exceeds": (_c4_exceeds, _EXISTS),
+    "c4-unsat": (_c4_unsat, _EXISTS),
+    "c4-unsat-above-weight": (_c4_unsat_above_weight, _EXISTS),
+    "c4-exceeds-above-weight": (_c4_exceeds_above_weight, _EXISTS),
+    "c4-mindim-too-high": (_c4_mindim_too_high, _EXISTS),
+    "c4-distance-too-high": (_c4_distance_too_high, _EXISTS),
+    "k4-search-hard-null": (_k4_search_hard_null, _EXISTS),
+    "k4-search-hard-too-high": (_k4_search_hard_too_high, _EXISTS),
+    "k4-diameter-too-high": (_k4_diameter_too_high, _EXISTS),
+    "stage4-exceeds": (_stage4_exceeds, _EXISTS),
+    "c4-exceeds-t-above-t-max": (_c4_exceeds_t_above_t_max, "with t other than t_max"),
+    "c4-sat-above-t-max": (_c4_mindim_above_t_max, "with t above t_max"),
+    "c4-sat-without-t-max": (_c4_mindim_without_t_max, "malformed certificate: 't_max'"),
 }
 
 
@@ -833,16 +852,16 @@ class TestCheckCommand:
         assert doc["notes"] == [f"{note} re-searched: no 1-dimensional assignment"]
 
     @pytest.mark.parametrize(
-        "tamper", list(_FALSE_NEGATIVES.values()), ids=list(_FALSE_NEGATIVES)
+        "tamper, note", list(_FALSE_NEGATIVES.values()), ids=list(_FALSE_NEGATIVES)
     )
-    def test_false_negative_verdict_rejected(self, capsys, tmp_path, c4_file, tamper):
+    def test_false_negative_verdict_rejected(self, capsys, tmp_path, c4_file, tamper, note):
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps(tamper(tmp_path, c4_file)))
         code = main(["check", str(cert), "--no-meta"])
         out = capsys.readouterr()
         doc = json.loads(out.out)
         assert code == 1 and not doc["valid"] and out.err == ""
-        assert any(n.endswith("-dimensional assignment exists") for n in doc["notes"]), doc
+        assert any(n.startswith("FAIL") and n.endswith(note) for n in doc["notes"]), doc
 
 
 def _k4_other_hardest_label(doc):
@@ -958,6 +977,8 @@ _ERROR_CASES = {
         ["distance", "{c4}", "{o1}", "{o2}", "--t-max", "1"], 3, "budget"
     ),
     "diameter-exceeds-t-max": (["diameter", "{c4}", "--t-max", "1"], 3, "budget"),
+    # A search at t = 30 would list 2^30 words at its first vertex.
+    "assign-t-30": (["assign", "{k2}", "--t", "30"], 3, "budget"),
 }
 
 
@@ -965,7 +986,7 @@ class TestExitContract:
     @pytest.mark.parametrize(
         "argv, code, category", list(_ERROR_CASES.values()), ids=list(_ERROR_CASES)
     )
-    def test_error_document(self, capsys, tmp_path, c4_file, argv, code, category):
+    def test_error_document(self, capsys, tmp_path, k2_file, c4_file, argv, code, category):
         lg = build_family(2, 1)
         witness = solve(lg.graph, lg.label, 3).to_strings()
         texts = {
@@ -982,7 +1003,7 @@ class TestExitContract:
             "t4_witness": json.dumps({"assignment": solve(lg.graph, lg.label, 4).to_strings()}),
             "bad_vector": json.dumps({"assignment": ["01x"] + witness[1:]}),
         }
-        paths = {"c4": c4_file, "missing": str(tmp_path / "missing")}
+        paths = {"k2": k2_file, "c4": c4_file, "missing": str(tmp_path / "missing")}
         paths["not_utf8"] = str(tmp_path / "not_utf8")
         (tmp_path / "not_utf8").write_bytes(b"\xff\xfe4 4\n")
         for name, text in texts.items():

@@ -35,7 +35,44 @@ def count_k_cliques(graph, k):
     )
 
 
+def _dict_family(k, m, init_bits):
+    """The stage-m family built through a dict from each edge to its label
+    bit: (edges, label bits, levels, cliques as (vertices, level, children))."""
+    base_edges = list(combinations(range(k), 2))
+    edge_bits = {pair: (init_bits >> i) & 1 for i, pair in enumerate(base_edges)}
+    levels = [0] * k
+    registry = [(tuple(range(k)), 0, [])]
+    n = k
+    for stage in range(1, m + 1):
+        for ci in range(len(registry)):
+            vertices, _, children = registry[ci]
+            for pattern in range(1 << k):
+                u = n
+                n += 1
+                levels.append(stage)
+                for j, v in enumerate(vertices):
+                    edge_bits[(v, u)] = (pattern >> j) & 1
+                children.append((u, stage))
+                for keep in combinations(vertices, k - 1):
+                    registry.append((tuple(sorted(keep + (u,))), stage, []))
+    graph = Graph(n, edge_bits.keys())
+    bits = 0
+    for pair, b in edge_bits.items():
+        if b:
+            bits |= 1 << graph.edge_index(*pair)
+    return graph.edges, bits, tuple(levels), registry
+
+
 class TestBuild:
+    @pytest.mark.parametrize("k, m", [(k, m) for k in (1, 2, 3) for m in range(4)])
+    def test_same_as_dict_builder(self, k, m):
+        for init_bits in range(1 << (k * (k - 1) // 2)):
+            lg = build_family(k, m, init_bits)
+            edges, bits, levels, registry = _dict_family(k, m, init_bits)
+            assert lg.graph.edges == edges and lg.label.bits == bits
+            assert lg.levels == levels
+            assert [(c.vertices, c.level, c.children) for c in lg.cliques] == registry
+
     def test_m0_is_base_clique(self):
         lg = build_family(2, 0, "1")
         assert lg.graph.n == 2 and lg.graph.m == 1

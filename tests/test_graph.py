@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invdiam.errors import InputFormatError
 from invdiam.graph import (
@@ -119,6 +121,25 @@ class TestGraph:
             Graph(3, [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_adjacency_is_ascending_neighbours(self, data):
+        n = data.draw(st.integers(0, 12))
+        pairs = list(combinations(range(n), 2))
+        pairs = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        # Pairs arrive shuffled, as tuples, reversed tuples or lists.
+        forms = st.sampled_from([lambda u, v: (u, v), lambda u, v: (v, u), lambda u, v: [u, v]])
+        given_pairs = data.draw(st.permutations([data.draw(forms)(u, v) for u, v in pairs]))
+        g = Graph(n, given_pairs)
+        assert g.edges == tuple(sorted(pairs))
+        for v in range(n):
+            want = tuple(sorted(a + b - v for a, b in g.edges if v in (a, b)))
+            assert type(g.adjacency[v]) is tuple and g.adjacency[v] == want
+        for e, (u, v) in enumerate(g.edges):
+            assert g.edge_index(v, u) == e
+        # The edge index is keyed by the stored edge tuples themselves.
+        assert all(key is pair for key, pair in zip(g._edge_index, g.edges))
 
     def test_orientation_strings(self):
         g = path(3)
