@@ -12,7 +12,8 @@ import heapq
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .errors import BudgetExceededError
@@ -44,11 +45,15 @@ class Assignment:
     @functools.cached_property
     def induced_bits(self) -> int:
         """The label word these vectors realize: bit e is f(u).f(v) on edge
-        e.  Built from the words alone, in one pass over the edges: a 0/1
-        string, edge 0 first, read as one binary number."""
-        words = self.words
-        text = bytes([48 | (words[u] & words[v]).bit_count() & 1 for u, v in self.graph.edges])
-        return int(text[::-1] or b"0", 2)
+        e.  Evaluated word-parallel: the graph's cached gatherer picks the
+        first end's word of every edge, then the second end's, and packs
+        them one slot each (gf2.pack_slots); one AND of the two halves
+        leaves every edge's product in its slot, whose parity
+        gf2.slot_parity_word reads."""
+        m = self.graph.m
+        width = gf2.slot_width(self.t)
+        ends = gf2.pack_slots(_edge_ends(self.graph)(self.words), width)
+        return gf2.slot_parity_word(ends & (ends >> (8 * width * m)), m, width)
 
     def bits(self) -> List[int]:
         return list(self.words)
@@ -67,6 +72,13 @@ class Assignment:
             if len(s) != t:
                 raise ValueError(f"vector {s!r} has length {len(s)}, expected {t}")
         return cls(graph, t, tuple(map(gf2.text_to_word, strings)))
+
+
+@functools.lru_cache(maxsize=256)
+def _edge_ends(graph: Graph) -> Callable[[Sequence[int]], Tuple[int, ...]]:
+    """A gatherer of the first end of every edge, in edge order, and then
+    of the second end of every edge."""
+    return gf2.gatherer([u for u, _ in graph.edges] + [v for _, v in graph.edges])
 
 
 def verify(graph: Graph, label: Label, assignment: Assignment) -> bool:
@@ -351,14 +363,15 @@ def solve_with_deadline(
 def enumerate_assignments(
     graph: Graph, label: Label, t: int, cap: int
 ) -> Iterator[Assignment]:
-    """Yield distinct valid assignments in deterministic order, up to cap."""
+    """Yield distinct valid assignments in deterministic order, up to cap.
+
+    The search is asked for no more than cap assignments, and for none at
+    all when cap <= 0."""
     _check_label(graph, label)
     _check_t(t)
-    count = 0
-    for words in _context(graph).search(label.bits, t):
-        if count >= cap:
-            return
-        count += 1
+    if cap <= 0:
+        return
+    for words in islice(_context(graph).search(label.bits, t), cap):
         yield Assignment.from_bits(graph, t, words)
 
 

@@ -268,10 +268,11 @@ def _graph_and_label(doc: dict) -> Tuple[Graph, Label]:
     return graph, file_label
 
 
-def _dimension(t) -> int:
-    """t, if it is a dimension: an int (not a bool) of at least 0."""
+def _dimension(t, name: str = "dimension") -> int:
+    """t, if it is a dimension (or another count, called `name`): an int
+    (not a bool) of at least 0."""
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise TypeError(f"dimension {t!r} is not a non-negative integer")
+        raise TypeError(f"{name} {t!r} is not a non-negative integer")
     return t
 
 
@@ -364,8 +365,14 @@ def _check_diameter(doc: dict, res: CheckResult) -> None:
 
 
 def _check_family_cert(doc: dict, res: CheckResult) -> None:
+    """The document must be the one `family` writes for its k, m and
+    initial label: two counts and a text (build_family checks its length
+    and characters; it would also take a word)."""
+    k, m, initial = _dimension(doc["k"], "k"), _dimension(doc["m"], "m"), doc["initial_label"]
+    if not res.require(isinstance(initial, str), f"initial_label {initial!r} is not a text"):
+        return
     try:
-        rebuilt = family_json(doc["k"], doc["m"], doc["initial_label"])
+        rebuilt = family_json(k, m, initial)
     except BudgetExceededError as exc:
         res.fail(str(exc))
         return
@@ -377,8 +384,9 @@ def _check_family_cert(doc: dict, res: CheckResult) -> None:
 def _check_probe_cert(doc: dict, res: CheckResult) -> None:
     graph, label = _graph_and_label(doc)
     levels = parse_levels_text(doc["levels"], graph.n)
-    lg = reconstruct_leveled(graph, label, levels, doc["k"])
-    res.require(doc["k"] == lg.k and doc["m"] == lg.m, "k or m differs from the family")
+    k, m = _dimension(doc["k"], "k"), _dimension(doc["m"], "m")
+    lg = reconstruct_leveled(graph, label, levels, k)
+    res.require(k == lg.k and m == lg.m, "k or m differs from the family")
     assignment = Assignment.from_strings(graph, doc["assignment"])
     for section, report in probe_reports_json(lg, assignment).items():
         res.require(

@@ -11,9 +11,9 @@ stage.  These families drive the worst-case distance against dimension
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .assignment import Assignment, verify
@@ -23,21 +23,68 @@ from .graph import Graph, Label
 GROWTH_GUARD = 10**6
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class CliqueRecord:
-    """A registered k-clique: sorted vertices, level, children per stage."""
+    """A registered k-clique: sorted vertices, level, children per stage.
+
+    Immutable, because the records of a stage are shared by every family
+    built on it (see build_family)."""
 
     vertices: Tuple[int, ...]
     level: int
-    children: List[Tuple[int, int]] = field(default_factory=list)  # (vertex, stage)
+    children: Tuple[Tuple[int, int], ...] = ()  # (vertex, stage)
+
+
+class _ProbeSlots:
+    """The slots of a word-parallel probe, in registry order: the failure
+    entry each slot reports, and a gatherer of every slot's vertex in
+    column 0, then in column 1, and so on, from an assignment's words."""
+
+    __slots__ = ("entries", "n_columns", "gather")
+
+    def __init__(self, entries: Sequence[tuple], columns: Sequence[Sequence[int]]):
+        self.entries = tuple(entries)
+        self.n_columns = len(columns)
+        self.gather = gf2.gatherer([v for column in columns for v in column])
+
+    def unpack(self, words: Sequence[int], t: int) -> Tuple[List[int], int, int]:
+        """(packed columns, low, top) for words of F2^t, t odd (see
+        _slot_shape)."""
+        width, bits, low, top = _slot_shape(len(self.entries), t)
+        packed = gf2.pack_slots(self.gather(words), width)
+        mask = (1 << bits) - 1
+        columns = []
+        for _ in range(self.n_columns):
+            columns.append(packed & mask)
+            packed >>= bits
+        return columns, low, top
+
+    def failures(self, passed: int, t: int) -> tuple:
+        """The entries of the slots whose bit t in `passed` is clear."""
+        width, _, _, top = _slot_shape(len(self.entries), t)
+        if passed == top:
+            return ()
+        flags = gf2.slot_flags(passed >> t, len(self.entries), width)
+        return tuple(entry for entry, flag in zip(self.entries, flags) if not flag)
+
+
+@functools.lru_cache(maxsize=64)
+def _slot_shape(count: int, t: int) -> Tuple[int, int, int, int]:
+    """(slot width, bits of one packed column, low, top) for `count` slots
+    of words of F2^t, t odd: low holds 2^t - 1 and top 2^t in every slot.
+    Since t is odd, t < 8 * width and every slot has a spare top bit, so
+    adding low to a packed column sets bit t of exactly its nonzero slots,
+    with no carry between slots."""
+    width = gf2.slot_width(t)
+    ones = gf2.slot_ones(count, width)
+    return width, 8 * width * count, ones * ((1 << t) - 1), ones << t
 
 
 @dataclass
 class LeveledGraph:
-    """A stage-m family with its clique registry.  The clique plans below
-    depend on the registry alone, so each probe reads them instead of
-    filtering the registry again; the registry must not change after they
-    are first read."""
+    """A stage-m family with its clique registry.  The probe slots below
+    depend on the registry and m alone, so each probe reads them instead of
+    filtering the registry again."""
 
     graph: Graph
     label: Label
@@ -47,19 +94,30 @@ class LeveledGraph:
     cliques: Tuple[CliqueRecord, ...]
 
     @functools.cached_property
-    def expanded_cliques(self) -> Tuple[Tuple[int, ...], ...]:
-        """Vertices of each clique expanded at least once (level <= m-1),
-        in registry order."""
-        return tuple(c.vertices for c in self.cliques if c.level <= self.m - 1)
+    def independence_slots(self) -> _ProbeSlots:
+        """One slot per clique expanded at least once (level <= m-1), with
+        entry (vertices,) and a column per clique position."""
+        cliques = [c.vertices for c in self.cliques if c.level <= self.m - 1]
+        return _ProbeSlots(
+            [(vertices,) for vertices in cliques],
+            [[c[j] for c in cliques] for j in range(self.k)],
+        )
 
     @functools.cached_property
-    def extension_plan(self) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
-        """(vertices, children of the next stage) of each clique expanded
-        twice (level <= m-2), in registry order."""
-        return tuple(
-            (c.vertices, tuple(u for u, stage in c.children if stage == c.level + 1))
+    def extension_slots(self) -> _ProbeSlots:
+        """One slot per immediate child of a clique expanded twice (level <=
+        m-2), with entry (vertices, (child,)), a column per clique position
+        and a last column for the child."""
+        entries = [
+            (c.vertices, (u,))
             for c in self.cliques
             if c.level <= self.m - 2
+            for u, stage in c.children
+            if stage == c.level + 1
+        ]
+        return _ProbeSlots(
+            entries,
+            [[e[0][j] for e in entries] for j in range(self.k)] + [[e[1][0] for e in entries]],
         )
 
     @functools.cached_property
@@ -120,11 +178,71 @@ def _normalize_initial_label(k: int, initial_label) -> int:
     return bits
 
 
+@dataclass(frozen=True)
+class _Stage:
+    """The part of a stage-m family that no initial label changes: the
+    graph, levels and clique registry, the label word of the pattern edges
+    (every edge outside K_k), and the indices of the K_k edges in the
+    canonical K_k edge order."""
+
+    graph: Graph
+    levels: Tuple[int, ...]
+    cliques: Tuple[CliqueRecord, ...]
+    pattern_bits: int
+    base_edges: Tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=1)
+def _stage(k: int, m: int) -> _Stage:
+    pairs: List[Tuple[int, int]] = list(combinations(range(k), 2))
+    ones: List[Tuple[int, int]] = []
+    levels: List[int] = [0] * k
+    # Registry columns; the records are made once every child is known.
+    cliques: List[Tuple[int, ...]] = [tuple(range(k))]
+    cliques_level: List[int] = [0]
+    children: List[List[Tuple[int, int]]] = [[]]
+    n = k
+    for stage in range(1, m + 1):
+        for ci in range(len(cliques)):
+            vertices = cliques[ci]
+            for pattern in range(1 << k):
+                u = n
+                n += 1
+                levels.append(stage)
+                for j, v in enumerate(vertices):
+                    pair = (v, u)
+                    pairs.append(pair)
+                    if (pattern >> j) & 1:
+                        ones.append(pair)
+                children[ci].append((u, stage))
+                for keep in combinations(vertices, k - 1):
+                    cliques.append(tuple(sorted(keep + (u,))))
+                    cliques_level.append(stage)
+                    children.append([])
+    graph = Graph(n, pairs)
+    text = bytearray(b"0") * graph.m
+    for pair in ones:
+        text[graph.edge_index(*pair)] = 49
+    return _Stage(
+        graph,
+        tuple(levels),
+        tuple(map(CliqueRecord, cliques, cliques_level, map(tuple, children))),
+        int(text[::-1] or b"0", 2),
+        tuple(graph.edge_index(*pair) for pair in combinations(range(k), 2)),
+    )
+
+
 def build_family(k: int, m: int, initial_label=None) -> LeveledGraph:
     """Construct the stage-m family with its cumulative label.
 
     The initial k-clique label may be given as a Label on K_k, a bit
     string, or a word over the canonical K_k edge order (default zero).
+
+    The label-independent part of the stage (graph, levels, registry and
+    the pattern edges' label word) is built once per (k, m) and kept for
+    the next call: families of one stage share one Graph and one registry,
+    and each differs from the others only in the bits it sets on the K_k
+    edges.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -132,35 +250,14 @@ def build_family(k: int, m: int, initial_label=None) -> LeveledGraph:
         raise ValueError(f"m must be >= 0, got {m}")
     projected_family_size(k, m)  # raises past GROWTH_GUARD
     init_bits = _normalize_initial_label(k, initial_label)
-
-    pairs: List[Tuple[int, int]] = list(combinations(range(k), 2))
-    ones = [pair for i, pair in enumerate(pairs) if (init_bits >> i) & 1]
-    levels: List[int] = [0] * k
-    registry: List[CliqueRecord] = [CliqueRecord(tuple(range(k)), 0)]
-    n = k
-    for stage in range(1, m + 1):
-        snapshot = len(registry)
-        for ci in range(snapshot):
-            clique = registry[ci]
-            for pattern in range(1 << k):
-                u = n
-                n += 1
-                levels.append(stage)
-                for j, v in enumerate(clique.vertices):
-                    pair = (v, u)
-                    pairs.append(pair)
-                    if (pattern >> j) & 1:
-                        ones.append(pair)
-                clique.children.append((u, stage))
-                for keep in combinations(clique.vertices, k - 1):
-                    registry.append(
-                        CliqueRecord(tuple(sorted(keep + (u,))), stage)
-                    )
-    graph = Graph(n, pairs)
-    bits = 0
-    for pair in ones:
-        bits |= 1 << graph.edge_index(*pair)
-    return LeveledGraph(graph, Label(graph, bits), tuple(levels), k, m, tuple(registry))
+    stage = _stage(k, m)
+    bits = stage.pattern_bits
+    for i, e in enumerate(stage.base_edges):
+        if (init_bits >> i) & 1:
+            bits |= 1 << e
+    return LeveledGraph(
+        stage.graph, Label(stage.graph, bits), stage.levels, k, m, stage.cliques
+    )
 
 
 def is_k_tree(graph: Graph, k: int) -> bool:
@@ -210,37 +307,50 @@ def _check_probe_input(lg: LeveledGraph, f: Assignment) -> None:
         raise ValueError("assignment does not satisfy the family label")
 
 
+def _subset_sums(columns: Sequence[int]) -> Iterator[int]:
+    """The XOR of every nonempty subset of the packed columns, in Gray-code
+    order: each differs from the one before by one column."""
+    s = 0
+    for i in range(1, 1 << len(columns)):
+        s ^= columns[(i & -i).bit_length() - 1]
+        yield s
+
+
 def probe_clique_independence(lg: LeveledGraph, f: Assignment) -> ProbeReport:
     """Check linear independence of the vectors on every clique that has
-    been expanded at least once (level <= m-1)."""
+    been expanded at least once (level <= m-1).
+
+    Evaluated word-parallel, one slot per clique (lg.independence_slots):
+    k vectors are independent iff each of their 2^k - 1 nonempty subset
+    sums is nonzero, and one XOR of packed columns forms a subset sum in
+    every slot at once."""
     _check_probe_input(lg, f)
-    bits = f.words
-    failures = tuple(
-        (vertices,)
-        for vertices in lg.expanded_cliques
-        if gf2.rank_bits([bits[v] for v in vertices], f.t) != lg.k
-    )
-    return ProbeReport("clique_independence", len(lg.expanded_cliques), failures)
+    slots = lg.independence_slots
+    columns, low, passed = slots.unpack(f.words, f.t)
+    for s in _subset_sums(columns):
+        passed &= s + low
+    return ProbeReport("clique_independence", len(slots.entries), slots.failures(passed, f.t))
 
 
 def probe_extension_dichotomy(lg: LeveledGraph, f: Assignment) -> ProbeReport:
     """For each twice-expanded clique and each immediate child, check that
-    the child vector extends the clique independently or equals its sum."""
+    the child vector extends the clique independently or equals its sum.
+
+    Evaluated word-parallel, one slot per (clique, child) pair
+    (lg.extension_slots): the child extends the clique independently iff
+    every nonempty subset sum of the clique is nonzero and the child
+    differs from every subset sum, the empty one included."""
     _check_probe_input(lg, f)
-    bits = f.words
-    checked = 0
-    failures = []
-    for vertices, children in lg.extension_plan:
-        base = [bits[v] for v in vertices]
-        total = 0
-        for b in base:
-            total ^= b
-        checked += len(children)
-        for child in children:
-            cw = bits[child]
-            if cw != total and gf2.rank_bits(base + [cw], f.t) != lg.k + 1:
-                failures.append((vertices, (child,)))
-    return ProbeReport("extension_dichotomy", checked, tuple(failures))
+    slots = lg.extension_slots
+    (*clique, child), low, top = slots.unpack(f.words, f.t)
+    passed = top & (child + low)
+    for s in _subset_sums(clique):
+        passed &= (s + low) & ((child ^ s) + low)
+    rest = child  # the child plus the clique's sum
+    for column in clique:
+        rest ^= column
+    passed |= top & ~(rest + low)  # rest is zero: the child is the sum
+    return ProbeReport("extension_dichotomy", len(slots.entries), slots.failures(passed, f.t))
 
 
 @dataclass(frozen=True)
@@ -319,8 +429,9 @@ def reconstruct_leveled(
             if not graph.has_edge(a, b):
                 raise InputFormatError(f"parents of vertex {v} are not a clique")
         parents[v] = lower
-    registry: Dict[Tuple[int, ...], CliqueRecord] = {
-        tuple(range(k)): CliqueRecord(tuple(range(k)), 0)
+    # Each clique's level and children, collected before any record is made.
+    registry: Dict[Tuple[int, ...], Tuple[int, List[Tuple[int, int]]]] = {
+        tuple(range(k)): (0, [])
     }
     for v in sorted(parents, key=lambda x: (levels[x], x)):
         parent = parents[v]
@@ -328,11 +439,14 @@ def reconstruct_leveled(
             raise InputFormatError(
                 f"vertex {v} attaches to unregistered clique {parent}"
             )
-        registry[parent].children.append((v, levels[v]))
+        registry[parent][1].append((v, levels[v]))
         for keep in combinations(parent, k - 1):
-            verts = tuple(sorted(keep + (v,)))
-            registry[verts] = CliqueRecord(verts, levels[v])
-    for rec in registry.values():
+            registry[tuple(sorted(keep + (v,)))] = (levels[v], [])
+    records = tuple(
+        CliqueRecord(verts, level, tuple(children))
+        for verts, (level, children) in registry.items()
+    )
+    for rec in records:
         by_stage: Dict[int, List[int]] = {}
         for child, stage in rec.children:
             by_stage.setdefault(stage, []).append(child)
@@ -353,7 +467,7 @@ def reconstruct_leveled(
                 raise InputFormatError(
                     f"clique {rec.vertices} lacks the full pattern set at stage {stage}"
                 )
-    return LeveledGraph(graph, label, tuple(levels), k, m, tuple(registry.values()))
+    return LeveledGraph(graph, label, tuple(levels), k, m, records)
 
 
 __all__ = [

@@ -3,11 +3,18 @@
 Vectors are machine words: coordinate i lives in bit i (little-endian),
 so the text form "110" means coordinates (1,1,0) and word value 0b011.
 Everything is immutable and pure; elimination always works on copies.
+
+Many words are evaluated at once in slots: `pack_slots` puts word i of a
+tuple into slot i of one int, each slot `slot_width(dim)` bytes wide, so a
+single AND or XOR of packed ints acts on every slot.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import functools
+import struct
+from operator import itemgetter
+from typing import Callable, List, Sequence, Tuple
 
 MAX_DIM = 32
 
@@ -106,6 +113,61 @@ def affine_solutions_bits(particular: int, basis: Sequence[int]) -> List[int]:
     return sols
 
 
+# The text digit of each byte's parity, so bytes.translate reads parities.
+_PARITY_TEXT = bytes(48 | (b.bit_count() & 1) for b in range(256))
+
+
+def gatherer(indices: Sequence[int]) -> Callable[[Sequence[int]], Tuple[int, ...]]:
+    """A function taking a sequence to the tuple of its items at `indices`.
+
+    An itemgetter for two or more indices (with one it returns the item
+    itself, not a 1-tuple, and with none it cannot be built)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    indices = tuple(indices)
+    return lambda seq: tuple(seq[i] for i in indices)
+
+
+def slot_width(dim: int) -> int:
+    """Bytes per slot for words of F2^dim, dim <= MAX_DIM: 1, 2 or 4."""
+    return 1 if dim <= 8 else 2 if dim <= 16 else 4
+
+
+def pack_slots(words: Sequence[int], width: int) -> int:
+    """The int holding words[i] in slot i (bytes i*width .. (i+1)*width - 1,
+    little-endian); each word must fit the width."""
+    if width == 1:
+        return int.from_bytes(bytes(words), "little")
+    code = "H" if width == 2 else "I"
+    return int.from_bytes(struct.pack(f"<{len(words)}{code}", *words), "little")
+
+
+@functools.lru_cache(maxsize=64)
+def slot_ones(count: int, width: int) -> int:
+    """The packed int with the value 1 in each of `count` slots."""
+    return int.from_bytes(b"\x01".ljust(width, b"\0") * count, "little")
+
+
+def slot_flags(x: int, count: int, width: int) -> bytes:
+    """The low byte of each of the `count` slots of x."""
+    return x.to_bytes(count * width, "little")[::width]
+
+
+def slot_parity_word(x: int, count: int, width: int) -> int:
+    """The word whose bit i is the parity of slot i of x, for `count` slots.
+
+    XOR-folding a slot's upper bytes onto its low byte keeps its parity
+    there (bytes shifted in from the next slot land above it), and a table
+    maps each low byte to the digit of its parity: a 0/1 text, slot 0 first,
+    read as one binary number."""
+    if width > 2:
+        x ^= x >> 16
+    if width > 1:
+        x ^= x >> 8
+    text = slot_flags(x, count, width).translate(_PARITY_TEXT)
+    return int(text[::-1] or b"0", 2)
+
+
 __all__ = [
     "MAX_DIM",
     "word_to_text",
@@ -115,4 +177,10 @@ __all__ = [
     "rank_bits",
     "solve_bits",
     "affine_solutions_bits",
+    "gatherer",
+    "slot_width",
+    "pack_slots",
+    "slot_ones",
+    "slot_flags",
+    "slot_parity_word",
 ]

@@ -18,10 +18,11 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1 with canonical edge order.
 
     `edges` holds the canonical (u, v) pairs, u < v, sorted; `adjacency[v]`
-    is the ascending tuple of v's neighbours.
+    is the ascending tuple of v's neighbours.  The hash is computed once, so
+    the per-graph caches keyed by graphs do not re-hash the edge tuple.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "_edge_index")
+    __slots__ = ("n", "edges", "adjacency", "_edge_index", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 0:
@@ -55,6 +56,7 @@ class Graph:
         self._edge_index: Dict[Tuple[int, int], int] = {
             pair: e for e, pair in enumerate(self.edges)
         }
+        self._hash = hash((n, self.edges))
 
     @property
     def m(self) -> int:
@@ -82,7 +84,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

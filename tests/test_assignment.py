@@ -120,6 +120,25 @@ class TestVerify:
         twin = Graph(g.n, g.edges)
         assert verify(twin, Label(twin, first.bits), f) == expected[0]
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        graphs(max_n=12, max_m=40),
+        st.sampled_from([0, 1, 7, 8, 9, 16, 17, 31, 32]),
+        st.randoms(use_true_random=False),
+    )
+    @example(Graph(0, []), 32, random.Random(0))
+    @example(Graph(2, [(0, 1)]), 32, random.Random(0))
+    def test_induced_bits_is_per_edge_parity(self, g, t, rng):
+        """The word-parallel label word, at every slot width (1, 2 and 4
+        bytes) and with 0, 1 or more edges."""
+        # Words with their top coordinate set more often than not, so that
+        # bits next to a slot boundary occur.
+        words = [rng.getrandbits(t) | (rng.getrandbits(1) << t >> 1) for _ in range(g.n)]
+        f = Assignment(g, t, tuple(words))
+        assert f.induced_bits == sum(
+            dot_bits(words[u], words[v]) << e for e, (u, v) in enumerate(g.edges)
+        )
+
     def test_one_flipped_edge_fails_stage_4(self):
         lg = build_family(2, 4)
         g, lab = lg.graph, lg.label
@@ -223,6 +242,26 @@ class TestEnumerate:
         full = [a.to_strings() for a in enumerate_assignments(g, Label(g, 0), 1, 100)]
         capped = [a.to_strings() for a in enumerate_assignments(g, Label(g, 0), 1, 3)]
         assert capped == full[:3]
+
+    def test_cap_pulls_no_more_than_asked(self, monkeypatch):
+        """The search hands over min(cap, total) assignments: none for cap
+        0, and not one more once the cap is reached."""
+        g = path(3)
+        lab = Label(g, 0)
+        total = len(list(enumerate_assignments(g, lab, 1, 100)))
+        pulled = [0]
+        search = _SolveContext.search
+
+        def counting(self, *args, **kwargs):
+            for words in search(self, *args, **kwargs):
+                pulled[0] += 1
+                yield words
+
+        monkeypatch.setattr(_SolveContext, "search", counting)
+        for cap in range(total + 3):
+            pulled[0] = 0
+            got = list(enumerate_assignments(g, lab, 1, cap))
+            assert len(got) == pulled[0] == min(cap, total)
 
     def test_matches_brute_force(self):
         g = path(3)

@@ -273,6 +273,30 @@ class TestFamily:
         assert code == 1 and check_doc["notes"] == [f"FAIL: rebuilt family differs in {differs}"]
 
 
+    @pytest.mark.parametrize(
+        "tamper, note",
+        [
+            (
+                lambda doc: doc.update(m=True),
+                "FAIL: malformed certificate: m True is not a non-negative integer",
+            ),
+            (
+                lambda doc: doc.update(initial_label=0),
+                "FAIL: initial_label 0 is not a text",
+            ),
+        ],
+        ids=["m-true", "initial-label-0"],
+    )
+    def test_check_rejects_forged_parameters(self, capsys, tmp_path, tamper, note):
+        # Both forgeries rebuild the very same k=1, m=1 family.
+        doc = _emitted(tmp_path, ["family", "--k", "1", "--m", "1"])
+        tamper(doc)
+        cert = tmp_path / "family.json"
+        cert.write_text(json.dumps(doc))
+        code, check_doc = run_cli(capsys, "check", str(cert), "--no-meta")
+        assert code == 1 and check_doc["notes"] == [note]
+
+
 class TestProbeFlow:
     def test_family_mindim_probe_check(self, capsys, tmp_path):
         gout = tmp_path / "fam.ilg"
@@ -323,6 +347,25 @@ class TestProbeFlow:
         doc = self._k2_m2_probe(capsys, tmp_path)
         doc["m"] = 7
         assert self._check(capsys, tmp_path, doc) == ["FAIL: k or m differs from the family"]
+
+    def test_k_true_rejected(self, capsys, tmp_path):
+        # True == 1, so a bool k would pass every comparison with the family.
+        gout, lout, cert = tmp_path / "fam.ilg", tmp_path / "fam.levels", tmp_path / "a.json"
+        assert main(
+            ["family", "--k", "1", "--m", "1", "--graph-out", str(gout),
+             "--levels-out", str(lout), "--no-meta"]
+        ) == 0
+        assert main(["assign", str(gout), "--t", "1", "--out", str(cert), "--no-meta"]) == 0
+        capsys.readouterr()
+        code, doc = run_cli(
+            capsys, "probe", str(gout), "--levels", str(lout), "--assignment", str(cert),
+            "--no-meta",
+        )
+        assert code == 0 and doc["k"] == 1
+        doc["k"] = True
+        assert self._check(capsys, tmp_path, doc) == [
+            "FAIL: malformed certificate: k True is not a non-negative integer"
+        ]
 
     @staticmethod
     def _k2_m2_probe(capsys, tmp_path):

@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import operator
+import random
 from itertools import combinations
 
 import pytest
@@ -60,7 +63,7 @@ def _dict_family(k, m, init_bits):
     for pair, b in edge_bits.items():
         if b:
             bits |= 1 << graph.edge_index(*pair)
-    return graph.edges, bits, tuple(levels), registry
+    return graph.edges, bits, tuple(levels), [(v, lv, tuple(c)) for v, lv, c in registry]
 
 
 class TestBuild:
@@ -72,6 +75,29 @@ class TestBuild:
             assert lg.graph.edges == edges and lg.label.bits == bits
             assert lg.levels == levels
             assert [(c.vertices, c.level, c.children) for c in lg.cliques] == registry
+
+    @pytest.mark.parametrize("k, m", [(1, 2), (2, 2), (3, 1), (4, 1)])
+    def test_initial_labels_share_one_stage(self, k, m):
+        """Every initial label gets the same Graph, levels and registry
+        objects, and a label word that differs from the zero label's only on
+        the K_k edges, by the initial label."""
+        zero = build_family(k, m, 0)
+        base = [zero.graph.edge_index(u, v) for u, v in combinations(range(k), 2)]
+        for init_bits in range(1 << len(base)):
+            lg = build_family(k, m, init_bits)
+            assert lg.graph is zero.graph
+            assert lg.cliques is zero.cliques and lg.levels is zero.levels
+            assert lg.label.bits ^ zero.label.bits == sum(
+                1 << e for i, e in enumerate(base) if (init_bits >> i) & 1
+            )
+
+    def test_shared_records_are_immutable(self):
+        rec = build_family(2, 2).cliques[0]
+        assert type(rec.children) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.level = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.children = ()
 
     def test_m0_is_base_clique(self):
         lg = build_family(2, 0, "1")
@@ -291,12 +317,51 @@ class TestProbesAgainstReference:
             failing += bool(ind.failures) + bool(dich.failures)
         assert failing > 0
 
+    @pytest.mark.parametrize("k, m", [(1, 2), (2, 2), (3, 1), (4, 1), (5, 1)])
+    def test_word_parallel_reports_match_reference(self, k, m):
+        """At t = 2k-1 (two-byte slots at k = 5), on the family's own
+        registry and with one stage more claimed: at stage m = 1 only the
+        base clique is expanded.  Words come from random subspaces, and
+        some children get the sum of their clique, so both probes fail on
+        some cliques and the dichotomy meets children equal to the sum."""
+        rng = random.Random(k)
+        t = 2 * k - 1
+        stage = build_family(k, m)
+        g = stage.graph
+        seen = {"failures": 0, "passes": 0, "sums": 0}
+        for _ in range(30):
+            basis = [rng.getrandbits(t) for _ in range(rng.randint(1, t))]
+            words = [
+                functools.reduce(operator.xor, (b for b in basis if rng.getrandbits(1)), 0)
+                for _ in range(g.n)
+            ]
+            for c in stage.cliques:
+                total = functools.reduce(operator.xor, (words[v] for v in c.vertices))
+                for u, _ in c.children:
+                    if rng.random() < 0.2:
+                        words[u] = total
+                        seen["sums"] += 1
+            bits = sum(dot_bits(words[u], words[v]) << e for e, (u, v) in enumerate(g.edges))
+            f = Assignment(g, t, tuple(words))
+            for claimed in (m, m + 1):
+                lg = LeveledGraph(g, Label(g, bits), stage.levels, k, claimed, stage.cliques)
+                for probe, reference in (
+                    (probe_clique_independence, _reference_independence),
+                    (probe_extension_dichotomy, _reference_dichotomy),
+                ):
+                    report = probe(lg, f)
+                    assert report == reference(lg, f)
+                    seen["failures" if report.failures else "passes"] += 1
+        assert min(seen.values()) > 0, seen
+        if m == 1:
+            assert len(stage.independence_slots.entries) == 1
+
     @staticmethod
     def _hand_built(m, vectors, label_bits):
         """K2 on {0, 1}, with child 2 at stage 1 if three vectors are given."""
         n = len(vectors)
         graph = Graph(n, combinations(range(n), 2))
-        cliques = [CliqueRecord((0, 1), 0, [(2, 1)] if n == 3 else [])]
+        cliques = [CliqueRecord((0, 1), 0, ((2, 1),) if n == 3 else ())]
         if n == 3:
             cliques += [CliqueRecord((0, 2), 1), CliqueRecord((1, 2), 1)]
         lg = LeveledGraph(graph, Label(graph, label_bits), (0, 0, 1)[:n], 2, m, tuple(cliques))

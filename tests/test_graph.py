@@ -140,6 +140,10 @@ class TestGraph:
             assert g.edge_index(v, u) == e
         # The edge index is keyed by the stored edge tuples themselves.
         assert all(key is pair for key, pair in zip(g._edge_index, g.edges))
+        # The hash, computed once when a graph is built, ignores the order
+        # and orientation of the given pairs.
+        canonical = Graph(n, pairs)
+        assert g == canonical and hash(g) == hash(canonical)
 
     def test_orientation_strings(self):
         g = path(3)
