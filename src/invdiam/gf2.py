@@ -11,7 +11,6 @@ single AND or XOR of packed ints acts on every slot.
 
 from __future__ import annotations
 
-import functools
 import struct
 from operator import itemgetter
 from typing import Callable, List, Sequence, Tuple
@@ -142,7 +141,6 @@ def pack_slots(words: Sequence[int], width: int) -> int:
     return int.from_bytes(struct.pack(f"<{len(words)}{code}", *words), "little")
 
 
-@functools.lru_cache(maxsize=64)
 def slot_ones(count: int, width: int) -> int:
     """The packed int with the value 1 in each of `count` slots."""
     return int.from_bytes(b"\x01".ljust(width, b"\0") * count, "little")
