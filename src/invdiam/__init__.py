@@ -34,7 +34,7 @@ from .graph import (
     parse_labeled_graph,
     serialize_labeled_graph,
 )
-from .inversion import bfs_diameter, diff_label, invert
+from .inversion import diff_label, invert
 from .reducibility import (
     BoundaryFamily,
     ReducibilityConfiguration,

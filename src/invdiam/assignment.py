@@ -446,12 +446,11 @@ def _walk_labels(ctx: _SolveContext, t_max: int) -> Tuple[Optional[int], int]:
         # Repair only a witness of the previous label; a skipped label or one
         # beyond t_max leaves an older one.
         if words_bits != bits ^ (1 << edge) or not _repair(ctx, words, bits, edge, best):
-            found = next(ctx.search(bits, best, prefer=words), None)
-            if found is None:
-                found_t, found = _least(ctx, bits, best + 1, t_max, prefer=words)
-                if found_t is None:
-                    over, best = bits, t_max
-                    continue
+            found_t, found = _least(ctx, bits, best, t_max, prefer=words)
+            if found_t is None:
+                over, best = bits, t_max
+                continue
+            if found_t > best:
                 best, best_label_bits, words, words_bits = found_t, bits, found, bits
                 continue
             words = found
@@ -523,9 +522,9 @@ def _flip_dim(
     """
     words: Optional[List[int]] = list(words0)
     if not _repair(ctx, words, bits, edge, d0):
-        words = next(ctx.search(bits, d0, prefer=words0), None)
-        if words is None:
-            return _least(ctx, bits, d0 + 1, t_max, prefer=words0)
+        d, words = _least(ctx, bits, d0, t_max, prefer=words0)
+        if d != d0:
+            return d, words
     if d0 > 1:
         lower = next(ctx.search(bits, d0 - 1, canonical=True), None)
         if lower is not None:

@@ -385,7 +385,7 @@ def _check_probe_cert(doc: dict, res: CheckResult) -> None:
     graph, label = _graph_and_label(doc)
     levels = parse_levels_text(doc["levels"], graph.n)
     k, m = _dimension(doc["k"], "k"), _dimension(doc["m"], "m")
-    lg = reconstruct_leveled(graph, label, levels, k)
+    lg = reconstruct_leveled(graph, label, levels)
     res.require(k == lg.k and m == lg.m, "k or m differs from the family")
     assignment = Assignment.from_strings(graph, doc["assignment"])
     for section, report in probe_reports_json(lg, assignment).items():

@@ -171,7 +171,7 @@ def cmd_probe(args) -> Tuple[dict, int]:
     strings = cert.get("assignment") if isinstance(cert, dict) else cert
     if strings is None:
         raise InputFormatError("assignment certificate carries no witness")
-    lg = reconstruct_leveled(graph, label, levels, args.k)
+    lg = reconstruct_leveled(graph, label, levels)
     try:
         assignment = Assignment.from_strings(graph, strings)
         reports = probe_reports_json(lg, assignment)  # checks dimension and label
@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--levels", required=True)
     p.add_argument("--assignment", required=True, help="JSON certificate with a witness")
-    p.add_argument("--k", type=int, default=None)
     p.set_defaults(handler=cmd_probe)
     _add_common(p)
 

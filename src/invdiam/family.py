@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from . import gf2
 from .assignment import Assignment, verify
@@ -161,10 +161,6 @@ def _normalize_initial_label(k: int, initial_label) -> int:
     m0 = k * (k - 1) // 2
     if initial_label is None:
         return 0
-    if isinstance(initial_label, Label):
-        if initial_label.graph.n != k or initial_label.graph.m != m0:
-            raise ValueError("initial label must live on the complete graph K_k")
-        return initial_label.bits
     if isinstance(initial_label, str):
         if len(initial_label) == m0:
             try:
@@ -235,8 +231,8 @@ def _stage(k: int, m: int) -> _Stage:
 def build_family(k: int, m: int, initial_label=None) -> LeveledGraph:
     """Construct the stage-m family with its cumulative label.
 
-    The initial k-clique label may be given as a Label on K_k, a bit
-    string, or a word over the canonical K_k edge order (default zero).
+    The initial k-clique label may be given as a bit string or a word over
+    the canonical K_k edge order (default zero).
 
     The label-independent part of the stage (graph, levels, registry and
     the pattern edges' label word) is built once per (k, m) and kept for
@@ -391,83 +387,40 @@ def probe_bad_cliques(lg: LeveledGraph, f: Assignment) -> BadCliqueReport:
     return BadCliqueReport(len(lg.sub_cliques), bad)
 
 
-def reconstruct_leveled(
-    graph: Graph, label: Label, levels: Sequence[int], k: Optional[int] = None
-) -> LeveledGraph:
-    """Rebuild the clique registry of a family from its graph and levels.
+def reconstruct_leveled(graph: Graph, label: Label, levels: Sequence[int]) -> LeveledGraph:
+    """The family that a graph, its label and its levels describe: the stage
+    is read off them, rebuilt by build_family and compared whole.
 
-    Validates the defining shape: level-0 vertices form a k-clique, every
-    later vertex has exactly k lower-level neighbors forming a clique,
-    and each expanded clique receives all 2^k label patterns per stage.
+    k is the number of level-0 vertices, m the highest level, and the
+    initial label the label's bits on the K_k edges, in canonical pair
+    order.  The graph's size is compared with the stage's before anything is
+    built, so levels claiming a huge m cost nothing.  Raises InputFormatError
+    naming the graph, the label or the levels if any of them differs from
+    build_family(k, m, initial); otherwise returns that build, which shares
+    the stage's Graph and registry.
     """
-    if len(levels) != graph.n:
-        raise InputFormatError(
-            f"levels cover {len(levels)} vertices, graph has {graph.n}"
-        )
-    base = [v for v in range(graph.n) if levels[v] == 0]
-    if k is None:
-        k = len(base)
+    k = sum(1 for level in levels if level == 0)
     if k < 1:
         raise InputFormatError(f"a family needs k >= 1 level-0 vertices, got k = {k}")
-    if len(base) != k or base != list(range(k)):
-        raise InputFormatError("level-0 vertices must be exactly 0..k-1")
-    for u, v in combinations(base, 2):
-        if not graph.has_edge(u, v):
-            raise InputFormatError("level-0 vertices must form a clique")
-    m = max(levels, default=0)
-    parents: Dict[int, Tuple[int, ...]] = {}
-    for v in range(graph.n):
-        lv = levels[v]
-        if lv == 0:
-            continue
-        lower = tuple(sorted(w for w in graph.adjacency[v] if levels[w] < lv))
-        if len(lower) != k:
-            raise InputFormatError(
-                f"vertex {v} has {len(lower)} lower-level neighbors, expected {k}"
-            )
-        for a, b in combinations(lower, 2):
-            if not graph.has_edge(a, b):
-                raise InputFormatError(f"parents of vertex {v} are not a clique")
-        parents[v] = lower
-    # Each clique's level and children, collected before any record is made.
-    registry: Dict[Tuple[int, ...], Tuple[int, List[Tuple[int, int]]]] = {
-        tuple(range(k)): (0, [])
-    }
-    for v in sorted(parents, key=lambda x: (levels[x], x)):
-        parent = parents[v]
-        if parent not in registry:
-            raise InputFormatError(
-                f"vertex {v} attaches to unregistered clique {parent}"
-            )
-        registry[parent][1].append((v, levels[v]))
-        for keep in combinations(parent, k - 1):
-            registry[tuple(sorted(keep + (v,)))] = (levels[v], [])
-    records = tuple(
-        CliqueRecord(verts, level, tuple(children))
-        for verts, (level, children) in registry.items()
-    )
-    for rec in records:
-        by_stage: Dict[int, List[int]] = {}
-        for child, stage in rec.children:
-            by_stage.setdefault(stage, []).append(child)
-        if sorted(by_stage) != list(range(rec.level + 1, m + 1)):
-            raise InputFormatError(
-                f"clique {rec.vertices} is not expanded at every stage after "
-                f"level {rec.level}"
-            )
-        for stage, children in by_stage.items():
-            patterns = set()
-            for child in children:
-                pat = 0
-                for j, v in enumerate(rec.vertices):
-                    if label.bit(graph.edge_index(v, child)):
-                        pat |= 1 << j
-                patterns.add(pat)
-            if len(children) != 1 << k or len(patterns) != 1 << k:
-                raise InputFormatError(
-                    f"clique {rec.vertices} lacks the full pattern set at stage {stage}"
-                )
-    return LeveledGraph(graph, label, tuple(levels), k, m, records)
+    m = max(levels)
+    stage = f"the stage-{m} family at k = {k}"
+    try:
+        fits = projected_family_size(k, m)[0] == graph.n
+    except BudgetExceededError:
+        fits = False
+    base = list(combinations(range(k), 2)) if fits else []
+    if not (fits and all(graph.has_edge(*p) for p in base)):
+        raise InputFormatError(f"graph is not {stage}")
+    initial = sum(label.bit(graph.edge_index(*p)) << i for i, p in enumerate(base))
+    lg = build_family(k, m, initial)
+    for name, given, built in (
+        ("graph", graph, lg.graph),
+        ("levels", tuple(levels), lg.levels),
+        ("label", label, lg.label),
+    ):
+        if given != built:
+            raise InputFormatError(f"{name} differs from {stage}")
+    return lg
 
 
 __all__ = [

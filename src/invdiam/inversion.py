@@ -106,7 +106,8 @@ def inversion_moves(graph: Graph) -> Tuple[int, ...]:
 
 
 def _distances_from_zero(graph: Graph) -> List[int]:
-    """BFS over all 2^m flip words; dist -1 marks unreached (never expected).
+    """BFS distance of every flip word from the zero word; raises
+    InvariantError if some word stays unreached (never expected).
 
     Direction-optimizing and layer-synchronous: a layer goes bottom-up (each
     unreached word takes the first move back into the previous layer) when
@@ -141,6 +142,8 @@ def _distances_from_zero(graph: Graph) -> List[int]:
                         layer.append(nxt)
         unreached -= len(layer)
         frontier = layer
+    if unreached:
+        raise InvariantError("orientation graph is disconnected")
     return dist
 
 
@@ -150,10 +153,7 @@ def bfs_all_distances(graph: Graph) -> List[int]:
         raise BudgetExceededError(
             f"bfs_all_distances needs |E| <= {DISTANCE_EDGE_BUDGET}, got {graph.m}"
         )
-    dist = _distances_from_zero(graph)
-    if min(dist) < 0:
-        raise InvariantError("orientation graph is disconnected")
-    return dist
+    return _distances_from_zero(graph)
 
 
 def bfs_diameter(graph: Graph) -> int:
@@ -166,10 +166,7 @@ def bfs_diameter(graph: Graph) -> int:
         raise BudgetExceededError(
             f"bfs_diameter needs |E| <= {DIAMETER_EDGE_BUDGET}, got {graph.m}"
         )
-    dist = _distances_from_zero(graph)
-    if min(dist) < 0:
-        raise InvariantError("orientation graph is disconnected")
-    return max(dist)
+    return max(_distances_from_zero(graph))
 
 
 __all__ = [

@@ -36,6 +36,18 @@ K4 = "4 6\n" + "\n".join(
 ) + "\n"
 
 
+def _swap_vertices(text, a, b):
+    """A .ilg text with vertices a and b swapped."""
+    swap = {a: b, b: a}
+    head, *lines = text.splitlines()
+    edges = []
+    for line in lines:
+        u, v, bit = map(int, line.split())
+        u, v = sorted((swap.get(u, u), swap.get(v, v)))
+        edges.append(f"{u} {v} {bit}")
+    return "\n".join([head, *edges])
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -365,6 +377,16 @@ class TestProbeFlow:
         doc["k"] = True
         assert self._check(capsys, tmp_path, doc) == [
             "FAIL: malformed certificate: k True is not a non-negative integer"
+        ]
+
+    def test_relabelled_family_rejected(self, capsys, tmp_path):
+        # A valid witness on the relabelled graph, so only the graph differs.
+        doc = self._k2_m2_probe(capsys, tmp_path)
+        doc["graph"] = _swap_vertices(doc["graph"], 2, 3)
+        words = doc["assignment"]
+        words[2], words[3] = words[3], words[2]
+        assert self._check(capsys, tmp_path, doc) == [
+            "FAIL: malformed certificate: graph differs from the stage-2 family at k = 2"
         ]
 
     @staticmethod
@@ -1003,10 +1025,23 @@ _ERROR_CASES = {
     "probe-no-level-0": (
         ["probe", "{fam}", "--levels", "{no_base}", "--assignment", "{witness}"], 2, "input"
     ),
-    "probe-k-0": (
-        ["probe", "{fam}", "--levels", "{no_base}", "--assignment", "{witness}", "--k", "0"],
+    # Graph, label and levels must be exactly those of a stage `family` writes.
+    "probe-relabelled-children": (
+        ["probe", "{relabelled}", "--levels", "{levels2}", "--assignment", "{witness}"],
         2,
         "input",
+    ),
+    "probe-flipped-pattern-edge": (
+        ["probe", "{flipped}", "--levels", "{levels}", "--assignment", "{witness}"], 2, "input"
+    ),
+    "probe-missing-base-edge": (
+        ["probe", "{no_base_edge}", "--levels", "{levels}", "--assignment", "{witness}"],
+        2,
+        "input",
+    ),
+    # The stage's size is compared before anything is built: an input error, not a budget.
+    "probe-levels-m-huge": (
+        ["probe", "{fam}", "--levels", "{huge_levels}", "--assignment", "{witness}"], 2, "input"
     ),
     "assign-out-unwritable": (
         ["assign", "{c4}", "--t", "2", "--out", "{missing}/x.json"], 2, "input"
@@ -1032,13 +1067,22 @@ class TestExitContract:
     def test_error_document(self, capsys, tmp_path, k2_file, c4_file, argv, code, category):
         lg = build_family(2, 1)
         witness = solve(lg.graph, lg.label, 3).to_strings()
+        fam = serialize_labeled_graph(lg.graph, lg.label)
+        stage2 = build_family(2, 2)
         texts = {
             "o1": "0000",
             "o2": "1001",
             "array": "[1, 2]",
             "deep": "[" * 100000 + "]" * 100000,
-            "fam": serialize_labeled_graph(lg.graph, lg.label),
+            "fam": fam,
             "levels": levels_to_text(lg.levels),
+            "relabelled": _swap_vertices(
+                serialize_labeled_graph(stage2.graph, stage2.label), 2, 3
+            ),
+            "levels2": levels_to_text(stage2.levels),
+            "flipped": fam.replace("\n0 2 0\n", "\n0 2 1\n"),
+            "no_base_edge": fam.replace("6 9\n0 1 0\n", "6 8\n"),
+            "huge_levels": levels_to_text(lg.levels[:-1] + (100000,)),
             "no_base": levels_to_text([1] * lg.graph.n),
             "witness": json.dumps({"assignment": witness}),
             "not_json": "{",

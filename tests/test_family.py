@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from invdiam import family
 from invdiam.assignment import Assignment, enumerate_assignments, min_dim, solve
 from invdiam.errors import BudgetExceededError, InputFormatError
 from invdiam.family import (
@@ -22,7 +23,7 @@ from invdiam.family import (
     reconstruct_leveled,
 )
 from invdiam.gf2 import dot_bits
-from invdiam.graph import Graph, Label
+from invdiam.graph import Graph, Label, parse_labeled_graph, serialize_labeled_graph
 
 
 def complete(n):
@@ -297,10 +298,9 @@ def _reference_bad_cliques(lg, f):
 def _probe_cases():
     for k, m in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
         lg = build_family(k, m)
-        rebuilt = reconstruct_leveled(lg.graph, lg.label, lg.levels, k)
         # Claiming one stage more makes the unexpanded cliques count as
         # expanded: a family the lemmas do not cover, so probes fail.
-        for fam in (lg, rebuilt, dataclasses.replace(rebuilt, m=m + 1)):
+        for fam in (lg, dataclasses.replace(lg, m=m + 1)):
             for f in enumerate_assignments(fam.graph, fam.label, 2 * k - 1, 40):
                 yield fam, f
 
@@ -447,30 +447,72 @@ def _gl(k, m):
     return lg.graph, lg.label
 
 
+def _swapped(lg, a, b):
+    """The graph and label of lg with vertices a and b swapped."""
+    swap = {a: b, b: a}
+    pairs = [(swap.get(u, u), swap.get(v, v)) for u, v in lg.graph.edges]
+    graph = Graph(lg.graph.n, pairs)
+    bits = sum(lg.label.bit(e) << graph.edge_index(*p) for e, p in enumerate(pairs))
+    return graph, Label(graph, bits)
+
+
 class TestReconstruct:
     def test_round_trip(self):
-        for k, m in ((1, 2), (2, 1), (2, 2)):
-            lg = build_family(k, m)
-            rebuilt = reconstruct_leveled(lg.graph, lg.label, lg.levels, k)
-            assert rebuilt.k == k and rebuilt.m == m
-            assert sorted(r.vertices for r in rebuilt.cliques) == sorted(
-                r.vertices for r in lg.cliques
-            )
-            for orig, got in zip(
-                sorted(lg.cliques, key=lambda r: r.vertices),
-                sorted(rebuilt.cliques, key=lambda r: r.vertices),
-            ):
-                assert orig.level == got.level
-                assert sorted(orig.children) == sorted(got.children)
+        """Every family a parsed graph file describes rebuilds to the shared
+        stage, whatever its initial label."""
+        stages = [(1, m) for m in range(4)] + [(k, m) for k in (2, 3) for m in range(3)]
+        for k, m in stages:
+            for initial in range(1 << (k * (k - 1) // 2)):
+                lg = build_family(k, m, initial)
+                graph, label = parse_labeled_graph(serialize_labeled_graph(lg.graph, lg.label))
+                rebuilt = reconstruct_leveled(graph, label, list(lg.levels))
+                assert rebuilt.graph is lg.graph and rebuilt.cliques is lg.cliques
+                assert (rebuilt.k, rebuilt.m, rebuilt.levels) == (k, m, lg.levels)
+                assert rebuilt.label == lg.label
+
+    def test_rejects_relabelled_children(self):
+        # Children 2 and 3 of the base clique differ only in their pattern,
+        # so every clique still meets every pattern; but the stage-2
+        # children of the cliques through 2 and 3 trade places.
+        lg = build_family(2, 2)
+        graph, label = _swapped(lg, 2, 3)
+        with pytest.raises(InputFormatError, match="graph differs"):
+            reconstruct_leveled(graph, label, lg.levels)
+
+    def test_rejects_flipped_pattern_edge(self):
+        lg = build_family(2, 2)
+        e = lg.graph.edge_index(0, 2)
+        label = Label(lg.graph, lg.label.bits ^ (1 << e))
+        with pytest.raises(InputFormatError, match="label differs"):
+            reconstruct_leveled(lg.graph, label, lg.levels)
+
+    def test_rejects_missing_base_edge(self):
+        lg = build_family(2, 1)
+        graph = Graph(lg.graph.n, [p for p in lg.graph.edges if p != (0, 1)])
+        with pytest.raises(InputFormatError, match="graph is not"):
+            reconstruct_leveled(graph, Label(graph, 0), lg.levels)
+
+    def test_rejects_huge_m_without_building(self, monkeypatch):
+        lg = build_family(1, 1)
+        monkeypatch.setattr(family, "_stage", None)  # building would fail
+        with pytest.raises(InputFormatError, match="graph is not the stage-100000"):
+            reconstruct_leveled(lg.graph, lg.label, lg.levels[:-1] + (100000,))
+
+    def test_rejects_levels_swapped_across_stages(self):
+        lg = build_family(2, 2)
+        levels = list(lg.levels)
+        levels[2], levels[-1] = levels[-1], levels[2]
+        with pytest.raises(InputFormatError, match="levels differ"):
+            reconstruct_leveled(lg.graph, lg.label, levels)
 
     def test_rejects_corrupt_levels(self):
         lg = build_family(2, 1)
         broken = list(lg.levels)
         broken[-1] = 5
         with pytest.raises(InputFormatError):
-            reconstruct_leveled(lg.graph, lg.label, tuple(broken), 2)
+            reconstruct_leveled(lg.graph, lg.label, tuple(broken))
 
     def test_rejects_non_family_graph(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         with pytest.raises(InputFormatError):
-            reconstruct_leveled(g, Label(g, 0), (0, 1, 1, 1), 1)
+            reconstruct_leveled(g, Label(g, 0), (0, 1, 1, 1))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invdiam.errors import BudgetExceededError
+from invdiam import inversion
+from invdiam.errors import BudgetExceededError, InvariantError
 from invdiam.graph import Graph, Orientation
 from invdiam.inversion import (
     _distances_from_zero,
@@ -201,6 +202,13 @@ class TestDiameter:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             bfs_diameter(path(14))  # 13 edges
+
+    @pytest.mark.parametrize("bfs", [bfs_all_distances, bfs_diameter])
+    def test_unreached_word_is_an_invariant_error(self, monkeypatch, bfs):
+        # With no moves the BFS reaches only the zero word.
+        monkeypatch.setattr(inversion, "inversion_moves", lambda graph: ())
+        with pytest.raises(InvariantError, match="disconnected"):
+            bfs(path(3))
 
 
 def deque_distances(graph):

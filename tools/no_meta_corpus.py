@@ -23,8 +23,9 @@ forged into a reducible row;
 `family --k 2 --m 2` and `--m 3`; the stage-3 and stage-4 k=2 family graphs
 (n=366 and n=3,282) written by `family --graph-out`, through `assign --t 3`
 (unsat) and `assign --t 4`, and the stage-3 graph through `mindim`; the
-families at (k, m) = (1, 1), (2, 2) and (3, 1) through `assign --t 2k-1` and
-`probe` on that witness.
+families at (k, m) = (1, 1), (2, 2) and (3, 1), and at (2, 2) and (3, 1)
+with initial labels 1 and 101, through `assign --t 2k-1` and `probe` on
+that witness.
 """
 
 from __future__ import annotations
@@ -107,11 +108,12 @@ def main_corpus(out_dir: Path) -> None:
         for t in (3, 4):
             run(f"{stage}.assign{t}", ["assign", f"{stage}.ilg", "--t", str(t)])
     run("family-k2-m3-graph.mindim", ["mindim", "family-k2-m3-graph.ilg"])
-    for k, m in ((1, 1), (2, 2), (3, 1)):
-        stem = f"family-k{k}-m{m}-probe"
+    for k, m, initial in ((1, 1, ""), (2, 2, ""), (3, 1, ""), (2, 2, "1"), (3, 1, "101")):
+        stem = f"family-k{k}-m{m}{'-i' + initial if initial else ''}-probe"
+        label = ["--initial-label", initial] if initial else []
         run(
             stem,
-            ["family", "--k", str(k), "--m", str(m),
+            ["family", "--k", str(k), "--m", str(m), *label,
              "--graph-out", f"{stem}.ilg", "--levels-out", f"{stem}.levels"],
         )
         run(f"{stem}.assign", ["assign", f"{stem}.ilg", "--t", str(2 * k - 1)])
