@@ -16,7 +16,7 @@ from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 from .graph import Graph, Label
 
 DIAMETER_LABEL_BUDGET = 24
@@ -175,8 +175,7 @@ class _SolveContext:
         raises BudgetExceededError when the search starts.
 
         With `canonical`, only coordinate-canonical assignments are
-        yielded, for callers that ask whether an assignment exists and keep
-        no witness.  Each stack level holds an ordered partition of the t
+        yielded.  Each stack level holds an ordered partition of the t
         coordinates into runs, as a word with bit i set where a run starts;
         the root has one run.  A candidate must be left-justified in every
         run (its ones in a run come first, from the low coordinate), and
@@ -185,8 +184,20 @@ class _SolveContext:
         existence verdict: the placed vectors are constant on each run, so
         permuting coordinates inside runs keeps them, and a permutation of
         coordinates keeps every dot product.  Any assignment can thus be
-        made canonical vertex by vertex, in order.  The witness found is
-        in general not the plain search's first one.
+        made canonical vertex by vertex, in order.
+
+        Without `prefer`, the first canonical yield is the plain search's
+        first yield W (the lex-leader argument of symmetry-breaking
+        predicates).  The plain search yields in lexicographic order of
+        the words along `order`.  If the word W places at position p were
+        not left-justified in some run of the partition the earlier words
+        refined, swapping a set coordinate h of that run with a clear
+        coordinate l < h of the same run would fix every earlier word and
+        keep every dot product, giving a solution whose word at p is
+        smaller by 2^h - 2^l: W would not be first.  So W is canonical,
+        and the canonical search, which visits a subset of the plain
+        nodes in the same order, yields it first.  A preferred word breaks
+        the ascending order, so the argument needs `prefer` to be None.
 
         Forward checking is incremental: each position keeps the echelon
         rows of its equations against its placed neighbours, a row being a
@@ -304,13 +315,16 @@ def _least(
     t_hi: int,
     prefer: Optional[Sequence[int]] = None,
     deadline: Optional[float] = None,
-    canonical: bool = False,
 ) -> Tuple[Optional[int], Optional[List[int]]]:
-    """Least t in t_lo..t_hi admitting an assignment, with its first witness
-    (words indexed by vertex; the first canonical one with `canonical`);
-    (None, None) if every t fails."""
+    """Least t in t_lo..t_hi admitting an assignment, with the plain
+    search's first witness at t (words indexed by vertex, preferred words
+    tried first); (None, None) if every t fails.
+
+    Without `prefer` each search runs canonically: by the lemma in
+    _SolveContext.search it finds the same first witness, and it refutes a
+    t in fewer nodes.  With `prefer` the searches stay plain."""
     for t in range(t_lo, t_hi + 1):
-        words = next(ctx.search(bits, t, deadline, prefer, canonical), None)
+        words = next(ctx.search(bits, t, deadline, prefer, canonical=prefer is None), None)
         if words is not None:
             return t, words
     return None, None
@@ -335,7 +349,10 @@ def _repair(ctx: _SolveContext, words: List[int], bits: int, edge: int, t: int) 
 
 
 def solve(graph: Graph, label: Label, t: int) -> Optional[Assignment]:
-    """Find a valid t-dimensional assignment, or None if none exists."""
+    """Find a valid t-dimensional assignment, or None if none exists.
+
+    The witness is the plain search's first, found by a canonical search
+    (see _least)."""
     _check_label(graph, label)
     _check_t(t)
     _, words = _least(_context(graph), label.bits, t, t)
@@ -345,7 +362,8 @@ def solve(graph: Graph, label: Label, t: int) -> Optional[Assignment]:
 def solve_with_deadline(
     graph: Graph, label: Label, t: int, deadline: float
 ) -> Tuple[str, Optional[Assignment]]:
-    """Like solve, but stops at a monotonic-clock deadline.
+    """Like solve, but stops at a monotonic-clock deadline, read every
+    _DEADLINE_CHECK_INTERVAL nodes of the same canonical search.
 
     Returns ("sat", assignment), ("unsat", None) or ("timeout", None).
     """
@@ -378,13 +396,13 @@ def enumerate_assignments(
 def min_dim(graph: Graph, label: Label, t_max: int) -> Optional[int]:
     """Least t in 0..t_max admitting an assignment; None if all fail.
 
-    Decided by canonical searches (see _SolveContext.search), which keep no
-    witness; least_dim returns one."""
+    Decided by the canonical searches of least_dim (see _least), without
+    building the witness."""
     _check_label(graph, label)
     _check_t(t_max)
     if label.bits == 0:
         return 0
-    return _least(_context(graph), label.bits, 1, t_max, canonical=True)[0]
+    return _least(_context(graph), label.bits, 1, t_max)[0]
 
 
 def least_dim(
@@ -403,6 +421,15 @@ def least_dim(
     if words is None:
         return None, None
     return t, Assignment.from_bits(graph, t, words)
+
+
+def _witness(ctx: _SolveContext, label: Label, t: int) -> Assignment:
+    """solve's witness for a label whose min_dim a walk or climb found to
+    be t; InvariantError if there is none."""
+    words = _least(ctx, label.bits, t, t)[1]
+    if words is None:
+        raise InvariantError(f"no witness for label {label.to_string()} at its min_dim {t}")
+    return Assignment.from_bits(ctx.graph, t, words)
 
 
 @dataclass(frozen=True)
@@ -483,9 +510,7 @@ def diameter_via_assignment(graph: Graph, t_max: int = gf2.MAX_DIM) -> DiameterR
     label = Label(graph, bits)
     if best is None:
         raise BudgetExceededError(f"label {label.to_string()} exceeds t_max={t_max}")
-    _, witness = _least(ctx, bits, best, best)
-    assert witness is not None
-    return DiameterResult(best, label, Assignment.from_bits(graph, best, witness))
+    return DiameterResult(best, label, _witness(ctx, label, best))
 
 
 @dataclass(frozen=True)
@@ -562,10 +587,9 @@ def hardest_label(
     else:
         dim, bits, evaluations = _climb(ctx, t_max, budget, seed)
         exhaustive = False
-    witness = None
-    if dim is not None:
-        witness = Assignment.from_bits(graph, dim, _least(ctx, bits, dim, dim)[1])
-    return HardestResult(Label(graph, bits), dim, exhaustive, evaluations, witness)
+    label = Label(graph, bits)
+    witness = None if dim is None else _witness(ctx, label, dim)
+    return HardestResult(label, dim, exhaustive, evaluations, witness)
 
 
 def _climb(
@@ -588,7 +612,7 @@ def _climb(
             elif d0:
                 found = _flip_dim(ctx, bits, edge, d0, words0, t_max)
             else:
-                found = _least(ctx, bits, 1, t_max, canonical=True)
+                found = _least(ctx, bits, 1, t_max)
             evaluated[bits] = found
             d = found[0]
             if _score(d) > _score(best_dim) or (

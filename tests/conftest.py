@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from invdiam import assignment
 from invdiam.graph import parse_labeled_graph, parse_labeled_graphs
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -27,3 +28,17 @@ def outerplanar_corpus():
         for graph, _ in parse_labeled_graphs(path.read_text()):
             graphs.append(graph)
     return graphs
+
+
+@pytest.fixture
+def lost_witness(monkeypatch):
+    """Break the invariant that a label's min_dim has a witness: every
+    search without `prefer` reports no assignment."""
+    least = assignment._least
+
+    def broken(ctx, bits, t_lo, t_hi, prefer=None, deadline=None):
+        if prefer is None:
+            return None, None
+        return least(ctx, bits, t_lo, t_hi, prefer, deadline)
+
+    monkeypatch.setattr(assignment, "_least", broken)

@@ -23,7 +23,7 @@ from invdiam.assignment import (
     solve_with_deadline,
     verify,
 )
-from invdiam.errors import BudgetExceededError
+from invdiam.errors import BudgetExceededError, InvariantError
 from invdiam.family import build_family
 from invdiam.gf2 import dot_bits
 from invdiam.graph import Graph, Label, Orientation, relabel, relabel_label
@@ -370,6 +370,11 @@ class TestDiameter:
                 with pytest.raises(BudgetExceededError, match=message):
                     diameter_via_assignment(g, t_max)
 
+    def test_lost_witness_is_invariant_error(self, lost_witness):
+        # The walk prefers its witnesses; only the final search loses one.
+        with pytest.raises(InvariantError, match="no witness for label 101100 at its min_dim 3"):
+            diameter_via_assignment(complete(4), 6)
+
 
 class TestHardestLabel:
     def test_k4_exhaustive(self):
@@ -391,6 +396,10 @@ class TestHardestLabel:
         assert (a.label.bits, a.dim) == (b.label.bits, b.dim)
         assert not a.exhaustive
         assert a.dim == 2  # any nonzero-distance label on a cycle caps at 2
+
+    def test_lost_witness_is_invariant_error(self, lost_witness):
+        with pytest.raises(InvariantError, match="no witness for label 101100 at its min_dim 3"):
+            hardest_label(complete(4), 4, budget=64)
 
 
 class TestDegreeBounds:
@@ -699,7 +708,25 @@ class TestSearchTree:
         ],
     )
     def test_family_node_counts(self, m, initial, t, verdict, nodes):
+        # The plain search, as enumerate_assignments runs it.
         lg = build_family(2, m, initial)
+        with _counting_nodes() as counted:
+            words = next(_SolveContext(lg.graph).search(lg.label.bits, t, 1.0), None)
+        assert ("unsat" if words is None else "sat", counted[0]) == (verdict, nodes)
+
+    @pytest.mark.parametrize(
+        "k, m, initial, t, verdict, nodes",
+        [
+            (2, 3, 0, 3, "unsat", 545),
+            (2, 3, 1, 3, "unsat", 274),
+            (2, 4, 0, 3, "unsat", 545),
+            (2, 4, 0, 4, "sat", 3543),
+            (3, 3, 0, 4, "unsat", 7552),
+        ],
+    )
+    def test_solve_with_deadline_node_counts(self, k, m, initial, t, verdict, nodes):
+        # Canonical: the refutations shrink, the satisfiable tree does not.
+        lg = build_family(k, m, initial)
         with _counting_nodes() as counted:
             got, _ = solve_with_deadline(lg.graph, lg.label, t, 1.0)
         assert (got, counted[0]) == (verdict, nodes)
@@ -719,7 +746,8 @@ class TestSearchTree:
         assert list(islice(canonical, len(expected))) == expected
         if len(plain) < cap:
             assert next(canonical, None) is None
-        assert bool(expected) == bool(plain)
+        # The lemma of _SolveContext.search: the first plain yield is canonical.
+        assert expected[:1] == plain[:1]
 
     def test_canonical_family_node_count(self):
         # The plain refutation of stage 3 at t = 3 takes 3,176 nodes
@@ -731,13 +759,13 @@ class TestSearchTree:
         assert counted[0] == 545
 
     def test_timeout_leaves_no_search_state(self):
-        lg = build_family(2, 4, 0)
+        lg = build_family(3, 3, 0)
         g, lab = lg.graph, lg.label
-        # The first clock check comes at node 2,048 of the 3,176-node refutation.
-        assert solve_with_deadline(g, lab, 3, time.monotonic() - 1) == ("timeout", None)
-        assert solve_with_deadline(g, lab, 3, time.monotonic() + 600) == ("unsat", None)
-        fresh = next(_SolveContext(g).search(lab.bits, 4))
-        assert solve(g, lab, 4) == Assignment.from_bits(g, 4, fresh)
+        # The first clock check comes at node 2,048 of the 7,552-node refutation.
+        assert solve_with_deadline(g, lab, 4, time.monotonic() - 1) == ("timeout", None)
+        assert solve_with_deadline(g, lab, 4, time.monotonic() + 600) == ("unsat", None)
+        fresh = next(_SolveContext(g).search(lab.bits, 5))
+        assert solve(g, lab, 5) == Assignment.from_bits(g, 5, fresh)
 
 
 @st.composite

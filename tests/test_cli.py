@@ -124,8 +124,8 @@ class TestSingleSearch:
     def test_as_many_solves_as_min_dim(self, capsys, monkeypatch, tmp_path, c4_file, command):
         calls = _count_searches(monkeypatch)
         graph, label = parse_labeled_graph(C4)
-        # The baseline is least_dim, min_dim with its witness: min_dim itself
-        # searches only canonical assignments, a different tree.
+        # The baseline is least_dim, min_dim with its witness: both run the
+        # same canonical searches.
         assert least_dim(graph, label, graph.m)[0] == 2
         expected, calls[0] = calls[0], 0
         if command == "mindim":
@@ -232,6 +232,14 @@ class TestDiameter:
         code = main(["diameter", str(p)])
         doc = json.loads(capsys.readouterr().out)
         assert code == 3 and doc["category"] == "budget"
+
+    @pytest.mark.parametrize("command", [["diameter"], ["search-hard", "--budget", "64"]])
+    def test_lost_witness_exit_4(self, capsys, k4_file, lost_witness, command):
+        code = main([command[0], k4_file, *command[1:]])
+        out = capsys.readouterr()
+        doc = json.loads(out.out)
+        assert code == 4 and doc["kind"] == "error" and doc["category"] == "invariant"
+        assert "no witness for label 101100" in doc["error"] and out.err == ""
 
 
 class TestFamily:

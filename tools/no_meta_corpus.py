@@ -10,7 +10,9 @@ checkouts with `diff -r` on their directories:
 A traceback is recorded as `exit traceback ...`; the script then still
 runs the rest.  It exits 1, listing them on stderr, if any invocation
 ended in a traceback, or emitted a document other than an error document
-that `check` did not accept.
+that `check` did not accept.  It exits 1 before running anything, naming
+the directory, if tests/fixtures/corpus_n5 or tests/fixtures/outerplanar
+holds no .ilg file.
 
 Corpus: each corpus_n5 and outer-planar fixture graph, relabelled 1010...,
 through `assign --t 1..4`, `mindim`, `distance` (all-zero to the
@@ -21,11 +23,12 @@ with restarts) on each outer-planar file; `reduce --all` and the seven
 `reduce --mutate` controls, with `check` on the `k23-drop-min-size` control
 forged into a reducible row;
 `family --k 2 --m 2` and `--m 3`; the stage-3 and stage-4 k=2 family graphs
-(n=366 and n=3,282) written by `family --graph-out`, through `assign --t 3`
-(unsat) and `assign --t 4`, and the stage-3 graph through `mindim`; the
-families at (k, m) = (1, 1), (2, 2) and (3, 1), and at (2, 2) and (3, 1)
-with initial labels 1 and 101, through `assign --t 2k-1` and `probe` on
-that witness.
+(n=366 and n=3,282) and the stage-3 k=3 family graph (n=5,211) written by
+`family --graph-out`, through `assign` at their least dimension (4, 4
+and 5) and one below it (unsat), and the stage-3 k=2 graph through
+`mindim`; the families at (k, m) = (1, 1), (2, 2) and (3, 1), and at
+(2, 2) and (3, 1) with initial labels 1 and 101, through `assign --t 2k-1`
+and `probe` on that witness.
 """
 
 from __future__ import annotations
@@ -58,18 +61,28 @@ def run(name: str, argv) -> None:
         run(f"{name}.check", ["check", f"{name}.json"])
 
 
-def corpus():
-    for path in sorted((FIXTURES / "corpus_n5").glob("*.ilg")):
+def fixture_files(name: str):
+    """The .ilg files of tests/fixtures/<name>, sorted; exits 1 naming the
+    directory if it holds none."""
+    paths = sorted((FIXTURES / name).glob("*.ilg"))
+    if not paths:
+        sys.exit(f"no .ilg fixture files in {FIXTURES / name}")
+    return paths
+
+
+def corpus(small, outerplanar):
+    for path in small:
         yield path.stem, parse_labeled_graphs(path.read_text())[0][0]
-    for path in sorted((FIXTURES / "outerplanar").glob("*.ilg")):
+    for path in outerplanar:
         for i, (graph, _) in enumerate(parse_labeled_graphs(path.read_text())):
             yield f"{path.stem}_{i:02d}", graph
 
 
 def main_corpus(out_dir: Path) -> None:
+    small, outerplanar = fixture_files("corpus_n5"), fixture_files("outerplanar")
     out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)  # relative paths keep the outputs independent of OUT_DIR
-    for name, graph in corpus():
+    for name, graph in corpus(small, outerplanar):
         alternating = "".join("1" if e % 2 == 0 else "0" for e in range(graph.m))
         label = Label.from_string(graph, alternating)
         Path(f"{name}.ilg").write_text(serialize_labeled_graph(graph, label) + "\n")
@@ -81,7 +94,7 @@ def main_corpus(out_dir: Path) -> None:
         run(f"{name}.distance", ["distance", f"{name}.ilg", f"{name}.o1", f"{name}.o2"])
         if graph.m <= 12:
             run(f"{name}.diameter", ["diameter", f"{name}.ilg"])
-    for path in sorted((FIXTURES / "outerplanar").glob("*.ilg")):
+    for path in outerplanar:
         run(f"{path.stem}.search-hard", ["search-hard", str(path), "--budget", "256"])
         run(
             f"{path.stem}.search-hard-t1",
@@ -102,10 +115,11 @@ def main_corpus(out_dir: Path) -> None:
     run("reduce-k23-forged-reducible.check", ["check", "reduce-k23-forged-reducible.json"])
     for m in (2, 3):
         run(f"family-k2-m{m}", ["family", "--k", "2", "--m", str(m)])
-    for m in (3, 4):
-        stage = f"family-k2-m{m}-graph"
-        run(stage, ["family", "--k", "2", "--m", str(m), "--graph-out", f"{stage}.ilg"])
-        for t in (3, 4):
+    # The least dimension of each graph and the one below it.
+    for k, m, t_min in ((2, 3, 4), (2, 4, 4), (3, 3, 5)):
+        stage = f"family-k{k}-m{m}-graph"
+        run(stage, ["family", "--k", str(k), "--m", str(m), "--graph-out", f"{stage}.ilg"])
+        for t in (t_min - 1, t_min):
             run(f"{stage}.assign{t}", ["assign", f"{stage}.ilg", "--t", str(t)])
     run("family-k2-m3-graph.mindim", ["mindim", "family-k2-m3-graph.ilg"])
     for k, m, initial in ((1, 1, ""), (2, 2, ""), (3, 1, ""), (2, 2, "1"), (3, 1, "101")):
